@@ -34,6 +34,7 @@ from .counting import (
 )
 from .errors import (
     CapExceeded,
+    InvalidArgument,
     InvalidWeights,
     NoConvergence,
     NoTau,
@@ -62,6 +63,6 @@ from .oracle import (
     oracle_check,
     oracle_distribution,
 )
-from .series import TruncatedSeries, compose_phi, series_add, series_mul
+from .series import TruncatedSeries, compose_phi
 
 __version__ = "0.1.0"

@@ -26,20 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
 
-from .errors import NoConvergence, NoTau, PeriodMismatch, WrongRegime
+from .errors import InvalidArgument, NoConvergence, NoTau, PeriodMismatch, WrongRegime
 from .families import WeightFamily, family_structure
+from .textfmt import fraction_to_mpf
 
 DEFAULT_PRECISION_BITS = 256
 _GUARD_BITS = 24
-
-
-def _frac_to_mpf(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,7 @@ def constants_exponential(
         raise WrongRegime(f"{f.name}: w1 = 0, use constants_doubleexp")
     with mp.workprec(precision_bits + _GUARD_BITS):
         tau, rho = solve_tau_rho(f, precision_bits)
-        w1 = _frac_to_mpf(f.weight(1))
+        w1 = fraction_to_mpf(f.weight(1))
         zeta = rho * w1
         d = 1 / zeta
 
@@ -244,7 +240,7 @@ def constants_doubleexp(
     r = struct.r
     with mp.workprec(precision_bits + _GUARD_BITS):
         tau, rho = solve_tau_rho(f, precision_bits)
-        w_r = _frac_to_mpf(f.weight(r))
+        w_r = fraction_to_mpf(f.weight(r))
         lam1 = (rho * w_r) ** (mp.mpf(-1) / (r - 1))
         log_lam1 = mp.log(lam1)
 
@@ -489,7 +485,7 @@ def solve_rho_h(
     h >= 2 on all builtin families.
     """
     if h < 2:
-        raise ValueError("h must be >= 2")
+        raise InvalidArgument("h must be >= 2")
     with mp.workprec(precision_bits + _GUARD_BITS):
         tau, rho = solve_tau_rho(f, precision_bits)
 

@@ -356,8 +356,9 @@ def cmd_figure(args) -> int:
 
 
 def _add_family_args(p):
-    p.add_argument("--family", choices=BUILTIN_NAMES, help="builtin family name")
-    p.add_argument(
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--family", choices=BUILTIN_NAMES, help="builtin family name")
+    group.add_argument(
         "--weights",
         help="finite weight sequence a0,a1,... (integers or fractions p/q)",
     )

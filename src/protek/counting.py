@@ -16,20 +16,26 @@ equation makes the coefficient of x^n depend only on coefficients of
 order < n, so a single forward pass yields the joint fixed point that
 repeated full sweeps converge to.  Composition with Phi is streamed with
 a per-family recurrence (geometric, exponential or polynomial), keeping
-one solve at O(h * N^2) coefficient operations.  All arithmetic is exact
-(plain integers when every weight is an integer, Fractions otherwise),
-and the results can be re-checked against the generic Horner composition
-of the series module through :meth:`ProtectionSeriesSet.residuals`.
+one solve at O(h * N^2) coefficient operations.
+
+All solver arithmetic is on plain integers: the coefficient of x^n is
+held as s_n * [x^n], with s_n = L^n for a polynomial Phi whose weight
+denominators have lcm L, s_n = n! for e^t, and s_n = 1 otherwise.  The
+public results are Fractions, formed once at the output; the CDF and the
+expectation divide two counts of the same size, so the scale cancels.
+They can be re-checked against the generic Horner composition of the
+series module through :meth:`ProtectionSeriesSet.residuals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import factorial, lcm
+from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import PeriodMismatch
+from .errors import InvalidArgument, PeriodMismatch
 from .families import (
     EXPONENTIAL,
     GEOMETRIC,
@@ -78,24 +84,27 @@ class _RiordanComposer:
 
 
 class _ExpComposer:
-    """Phi(t) = e^t:  G' = S'G, so m*g_m = sum_j j*s_j g_{m-j}."""
+    """Phi(t) = e^t on factorial-scaled coefficients S_j = j!*s_j.
 
-    __slots__ = ("arg", "out", "jarg")
+    G' = S'G gives G_m = m!*g_m = sum_j C(m-1, j-1)*S_j*G_{m-j}, and
+    coeff(m) = (m+1)!*[x^(m+1)] x*G = (m+1)*G_m.
+    """
+
+    __slots__ = ("arg", "out", "binom")
 
     def __init__(self, arg: list):
         self.arg = arg
-        self.out = [Fraction(1)]
-        self.jarg = [Fraction(0)]
+        self.out = [1]
+        self.binom = [1]  # C(m-1, j-1) for j = 1..m, at m = len(out)
 
     def coeff(self, m: int):
-        out, arg, jarg = self.out, self.arg, self.jarg
-        while len(jarg) <= m:
-            j = len(jarg)
-            jarg.append(j * arg[j])
+        out, arg = self.out, self.arg
         while len(out) <= m:
             mm = len(out)
-            out.append(sum(map(mul, jarg[1 : mm + 1], reversed(out))) / mm)
-        return out[m]
+            binom = self.binom
+            out.append(sum(map(mul, map(mul, binom, arg[1 : mm + 1]), reversed(out))))
+            self.binom = [1, *map(add, binom, binom[1:]), 1]
+        return (m + 1) * out[m]
 
 
 class _PolyComposer:
@@ -108,7 +117,7 @@ class _PolyComposer:
         self.weights = weights
         degree = len(weights) - 1
         # powers[0] aliases the argument itself (S^1); higher powers own lists.
-        self.powers = [arg] + [[0 * weights[0]] for _ in range(degree - 1)]
+        self.powers = [arg] + [[0] for _ in range(degree - 1)]
         self.out = [weights[0]]
 
     def coeff(self, m: int):
@@ -129,7 +138,21 @@ class _PolyComposer:
         return out[m]
 
 
+def _scale(f: WeightFamily, n: int) -> int:
+    """s_n: the solver holds s_n * [x^n] of every series as an int."""
+    if f.phi_form == EXPONENTIAL:
+        return factorial(n)
+    if f.phi_form == POLYNOMIAL:
+        return lcm(*(w.denominator for w in f.poly_weights)) ** n
+    return 1
+
+
 def _make_composer(f: WeightFamily, arg: list):
+    """Streams s_(m+1) * [x^(m+1)] x*Phi(S) from the scaled coefficients of S.
+
+    With s_n = L^n that is [x^m] of L*Phi at the scaled argument, so the
+    polynomial composer runs on the integer weights L*w_j.
+    """
     if f.phi_form == GEOMETRIC:
         return _GeometricComposer(arg)
     if f.phi_form == GEOMETRIC_MINUS_T:
@@ -137,17 +160,9 @@ def _make_composer(f: WeightFamily, arg: list):
     if f.phi_form == EXPONENTIAL:
         return _ExpComposer(arg)
     if f.phi_form == POLYNOMIAL:
-        ws = f.poly_weights
-        if f.integer_weights:
-            ws = tuple(int(w) for w in ws)
-        return _PolyComposer(ws, arg)
+        L = _scale(f, 1)
+        return _PolyComposer(tuple(int(L * w) for w in f.poly_weights), arg)
     raise ValueError(f"unknown phi_form {f.phi_form!r}")
-
-
-def _ring_zero_one(f: WeightFamily):
-    if f.integer_weights:
-        return 0, 1
-    return Fraction(0), Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +174,11 @@ _Y0_CACHE: Dict[Tuple[str, int], list] = {}
 
 
 def _y_coefficients(f: WeightFamily, order: int) -> list:
-    """Raw coefficient list of Y through ``order`` (read-only)."""
+    """Scaled coefficient list of Y through ``order`` (read-only)."""
     cached = _Y_CACHE.get(f.cache_key)
     if cached is not None and len(cached) > order:
         return cached
-    zero, _ = _ring_zero_one(f)
-    ys = [zero]
+    ys = [0]
     comp = _make_composer(f, ys)
     for n in range(1, order + 1):
         ys.append(comp.coeff(n - 1))
@@ -173,9 +187,9 @@ def _y_coefficients(f: WeightFamily, order: int) -> list:
 
 
 def _solve_system_raw(f: WeightFamily, h: int, order: int) -> List[list]:
-    """Coefficient lists for Y_{h,0}..Y_{h,h} through ``order``."""
-    zero, one = _ring_zero_one(f)
-    ys = [[zero] for _ in range(h + 1)]
+    """Scaled coefficient lists for Y_{h,0}..Y_{h,h} through ``order``."""
+    unit = _scale(f, 1)
+    ys = [[0] for _ in range(h + 1)]
     comps = [_make_composer(f, ys[k]) for k in range(h + 1)]
     for n in range(1, order + 1):
         m = n - 1
@@ -183,7 +197,7 @@ def _solve_system_raw(f: WeightFamily, h: int, order: int) -> List[list]:
         new = [None] * (h + 1)
         for k in range(1, h + 1):
             new[k] = comps[k - 1].coeff(m) - top
-        new[0] = new[1] + (one if n == 1 else zero)
+        new[0] = new[1] + (unit if n == 1 else 0)
         for k in range(h + 1):
             ys[k].append(new[k])
     return ys
@@ -205,8 +219,12 @@ def solve_Y(f: WeightFamily, order: int) -> TruncatedSeries:
     Plane trees at order 5 give the Catalan numbers 0, 1, 1, 2, 5, 14.
     """
     if order < 1:
-        raise ValueError("order must be >= 1")
-    return TruncatedSeries(_y_coefficients(f, order)[: order + 1])
+        raise InvalidArgument("order must be >= 1")
+    return _unscaled(f, _y_coefficients(f, order)[: order + 1])
+
+
+def _unscaled(f: WeightFamily, scaled: list) -> TruncatedSeries:
+    return TruncatedSeries(Fraction(c, _scale(f, n)) for n, c in enumerate(scaled))
 
 
 @dataclass(frozen=True)
@@ -242,16 +260,16 @@ class ProtectionSeriesSet:
 def solve_protection_system(f: WeightFamily, h: int, order: int) -> ProtectionSeriesSet:
     """Solve the bounded-protection system through ``order`` for fixed h >= 1."""
     if h < 1:
-        raise ValueError("h must be >= 1 (h = 0 is handled by definition)")
+        raise InvalidArgument("h must be >= 1 (h = 0 is handled by definition)")
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidArgument("order must be >= 1")
     ys = _solve_system_raw(f, h, order)
     _Y0_CACHE.setdefault((f.cache_key, h), ys[0])
     return ProtectionSeriesSet(
         family=f,
         h=h,
         order=order,
-        series=tuple(TruncatedSeries(col) for col in ys),
+        series=tuple(_unscaled(f, col) for col in ys),
     )
 
 
@@ -262,14 +280,18 @@ def bounded_count(f: WeightFamily, h: int, n: int) -> Fraction:
     of size n, so the value coincides with [x^n] Y there.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument("n must be >= 1")
     if h < 0:
-        raise ValueError("h must be >= 0")
-    if h == 0:
-        return Fraction(1) if n == 1 else Fraction(0)
+        raise InvalidArgument("h must be >= 0")
+    return Fraction(_scaled_count(f, h, n), _scale(f, n))
+
+
+def _scaled_count(f: WeightFamily, h: int, n: int) -> int:
     if h >= n - 1:
-        return Fraction(_y_coefficients(f, n)[n])
-    return Fraction(_y0_coefficients(f, h, n)[n])
+        return _y_coefficients(f, n)[n]
+    if h == 0:
+        return 0
+    return _y0_coefficients(f, h, n)[n]
 
 
 class CdfRow(NamedTuple):
@@ -327,11 +349,11 @@ def default_hmax(f: WeightFamily, n: int) -> int:
 def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
     """Exact CDF rows (h, y_{h,n}/y_n) for h = 0 .. min(hmax, n-1)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument("n must be >= 1")
     _check_period(f, n)
     if hmax is None:
         hmax = default_hmax(f, n)
-    yn = Fraction(_y_coefficients(f, n)[n])
+    yn = Fraction(_y_coefficients(f, n)[n], _scale(f, n))
     rows = []
     for h in range(0, min(hmax, n - 1) + 1):
         p = bounded_count(f, h, n) / yn
@@ -347,19 +369,15 @@ def expectation_exact(f: WeightFamily, n: int) -> Fraction:
     agree (they are nondecreasing in h and capped by y_n).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument("n must be >= 1")
     _check_period(f, n)
     if n == 1:
         return Fraction(0)
     yn = _y_coefficients(f, n)[n]
     deficit_total = 0
     for h in range(0, n - 1):
-        if h == 0:
-            yhn = 0
-        else:
-            yhn = _y0_coefficients(f, h, n)[n]
-        gap = yn - yhn
+        gap = yn - _scaled_count(f, h, n)
         if h > 0 and gap == 0:
             break
         deficit_total = deficit_total + gap
-    return Fraction(deficit_total) / Fraction(yn)
+    return Fraction(deficit_total, yn)

@@ -5,6 +5,10 @@ class ProtekError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgument(ProtekError, ValueError):
+    """An argument is outside the range the operation is defined on."""
+
+
 class OrderMismatch(ProtekError):
     """Two series with different truncation orders were combined."""
 

@@ -15,13 +15,14 @@ Arbitrary finite weight sequences are supported through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
 from .errors import InvalidWeights, UnknownFamily
+from .textfmt import fraction_to_mpf
 
 WeightLike = Union[int, str, Fraction]
 
@@ -50,7 +51,6 @@ class WeightFamily:
     phi_form: str
     cache_key: str
     poly_weights: Optional[Tuple[Fraction, ...]] = None
-    integer_weights: bool = False
 
 
 class FamilyStructure(NamedTuple):
@@ -82,10 +82,6 @@ def _to_fraction(value: WeightLike, index: int) -> Fraction:
         raise InvalidWeights(f"weight w{index} is not a rational: {value!r}") from exc
 
 
-def _frac_to_mpf(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / q.denominator
-
-
 def _polynomial_phi_eval(weights: Tuple[Fraction, ...]):
     def phi_eval(t, m: int = 0):
         t = mp.mpf(t)
@@ -96,7 +92,7 @@ def _polynomial_phi_eval(weights: Tuple[Fraction, ...]):
             falling = 1
             for i in range(m):
                 falling *= j - i
-            total += _frac_to_mpf(w * falling) * t ** (j - m)
+            total += fraction_to_mpf(w * falling) * t ** (j - m)
         return total
 
     return phi_eval
@@ -121,7 +117,6 @@ def _polynomial_family(
         phi_form=POLYNOMIAL,
         cache_key=cache_key,
         poly_weights=ws,
-        integer_weights=all(w.denominator == 1 for w in ws),
     )
 
 
@@ -145,7 +140,6 @@ def _plane_family() -> WeightFamily:
         support_hint=frozenset({0, 1, 2, 3}),
         phi_form=GEOMETRIC,
         cache_key="plane",
-        integer_weights=True,
     )
 
 
@@ -164,7 +158,6 @@ def _cayley_family() -> WeightFamily:
         support_hint=frozenset({0, 1, 2, 3}),
         phi_form=EXPONENTIAL,
         cache_key="cayley",
-        integer_weights=False,
     )
 
 
@@ -191,7 +184,6 @@ def _riordan_family() -> WeightFamily:
         support_hint=frozenset({0, 2, 3, 4}),
         phi_form=GEOMETRIC_MINUS_T,
         cache_key="riordan",
-        integer_weights=True,
     )
 
 
@@ -227,17 +219,7 @@ def make_builtin(name: str) -> WeightFamily:
         )
     fam = _BUILTIN_BUILDERS[canonical]()
     if name != canonical:
-        fam = WeightFamily(
-            name=name,
-            weight=fam.weight,
-            phi_eval=fam.phi_eval,
-            radius=fam.radius,
-            support_hint=fam.support_hint,
-            phi_form=fam.phi_form,
-            cache_key=fam.cache_key,
-            poly_weights=fam.poly_weights,
-            integer_weights=fam.integer_weights,
-        )
+        fam = replace(fam, name=name)
     _BUILTIN_CACHE[name] = fam
     return fam
 

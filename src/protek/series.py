@@ -136,14 +136,6 @@ class TruncatedSeries:
         return TruncatedSeries(self._coeffs[: order + 1])
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
 def compose_phi(phi_coeffs: PhiCoeffs, inner: TruncatedSeries) -> TruncatedSeries:
     """Evaluate Phi(inner) truncated at ``inner.order``.
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from protek.cli import main
 
 
@@ -74,6 +76,12 @@ class TestCdfCommand:
         assert code == 1
         assert "206" in err
 
+    def test_size_below_one_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "cdf", "--family", "plane", "--n", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: n must be >= 1\n"
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "cdf", "--family", "riordan", "--n", "13")
         _, out2, _ = run_cli(capsys, "cdf", "--family", "riordan", "--n", "13")
@@ -101,6 +109,12 @@ class TestExpectCommand:
         assert code == 0
         assert "e_exact_rational,0/1" in out
 
+    def test_family_and_weights_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["expect", "--family", "plane", "--weights", "1,0,1", "--n", "5"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_plane_passes(self, capsys):
@@ -124,6 +138,14 @@ class TestRhohCommand:
         for line in out.strip().splitlines()[1:]:
             ratio = float(line.split(",")[4])
             assert 0.9 < ratio < 1.1
+
+    def test_h_below_two_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rhoh", "--family", "plane", "--h-from", "1", "--h-to", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: h must be >= 2\n"
 
     def test_precision_floor_reported(self, capsys):
         code, out, _ = run_cli(

@@ -59,11 +59,23 @@ class TestProtectionSystem:
             assert ps.y0[n] == 0
 
     @pytest.mark.parametrize(
-        "name,h,order",
-        [("plane", 3, 30), ("riordan", 3, 30), ("cayley", 2, 24), ("pruned-binary", 2, 24)],
+        "family,h,order",
+        [
+            ("plane", 3, 30),
+            ("riordan", 3, 30),
+            ("cayley", 2, 24),
+            ("cayley", 4, 24),
+            ("pruned-binary", 2, 24),
+            ("1,1/2,1/3", 3, 24),
+            ("1,0,1/6,1/10", 2, 24),
+        ],
     )
-    def test_residuals_vanish(self, name, h, order):
-        ps = solve_protection_system(make_builtin(name), h, order)
+    def test_residuals_vanish(self, family, h, order):
+        if "," in family:
+            f = make_polynomial(family.split(","))
+        else:
+            f = make_builtin(family)
+        ps = solve_protection_system(f, h, order)
         zero = TruncatedSeries.zero(order)
         for res in ps.residuals():
             assert res == zero

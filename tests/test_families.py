@@ -97,7 +97,6 @@ class TestMakePolynomial:
     def test_accepts_fraction_strings(self):
         f = make_polynomial(["1", "1/2", "1/4"])
         assert f.weight(1) == Fraction(1, 2)
-        assert not f.integer_weights
 
     def test_w0_must_be_one(self):
         with pytest.raises(InvalidWeights, match="w0"):
