@@ -5,7 +5,8 @@ named with --family (builtins) or given as --weights a0,a1,... where each
 entry is an integer or a fraction p/q.  Identical configurations produce
 byte-identical output; the working precision defaults to 256 bits and can
 be overridden per call with --prec or globally with the environment
-variable PROTEK_PREC.
+variable PROTEK_PREC.  Invalid arguments exit with code 2; every other
+failure prints ``error: ...`` and exits with code 1.
 """
 
 from __future__ import annotations
@@ -39,13 +40,6 @@ FIGURE_PANELS = (
 )
 
 
-def _default_precision() -> int:
-    env = os.environ.get("PROTEK_PREC")
-    if env:
-        return int(env)
-    return DEFAULT_PRECISION_BITS
-
-
 def _resolve_family(args):
     if getattr(args, "weights", None):
         parts = [p.strip() for p in args.weights.split(",")]
@@ -56,15 +50,43 @@ def _resolve_family(args):
 
 
 def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    """Write text to stdout, or atomically replace the file at out_path."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    tmp = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "pass" if value else "FAIL"
+    return "" if value is None else str(value)
+
+
+def _csv(columns, rows) -> str:
+    lines = [columns] + [[_cell(row[c]) for c in columns] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _write(args, payload, columns, rows):
+    """The only output path of the commands: ``payload`` as JSON, or the
+    ``columns`` of each row dict as CSV."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    else:
+        _emit(_csv(columns, rows), args.out)
+
+
+def _real(x):
+    # Call outside mp.workprec: real_str rounds x at the ambient precision.
+    return None if x is None else real_str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -73,46 +95,31 @@ def _json_dump(obj) -> str:
 
 
 def _constants_fields(c):
-    fields = [
-        ("tau", real_str(c.tau)),
-        ("rho", real_str(c.rho)),
-        ("phi_tau", real_str(c.phi_tau)),
-        ("phi2_tau", real_str(c.phi2_tau)),
-        ("a", real_str(c.a)),
-        ("lambda1", real_str(c.lambda1)),
-        ("kappa", real_str(c.kappa)),
-        ("d", real_str(c.d)),
-    ]
-    if c.regime == "exponential":
-        fields += [("zeta", real_str(c.zeta)), ("lambda2", real_str(c.lambda2))]
-    else:
-        fields += [("r", str(c.r)), ("mu", real_str(c.mu))]
-    fields.append(("D", str(c.D)))
-    return fields
+    names = ["tau", "rho", "phi_tau", "phi2_tau", "a", "lambda1", "kappa", "d"]
+    names += ["zeta", "lambda2"] if c.regime == "exponential" else ["r", "mu"]
+    names.append("D")
+    # r and D are integers; every other constant is an mpmath real.
+    return [(k, (str if k in ("r", "D") else real_str)(getattr(c, k))) for k in names]
 
 
 def cmd_constants(args) -> int:
     f = _resolve_family(args)
     c = family_constants(f, args.prec)
     fields = _constants_fields(c)
-    if args.format == "json":
-        payload = {
-            "command": "constants",
-            "family": f.name,
-            "regime": c.regime,
-            "precision_bits": c.precision_bits,
-            "constants": dict(fields),
-            "errors": {k: repr(v) for k, v in sorted(c.errors.items())},
-        }
-        _emit(_json_dump(payload), args.out)
-    else:
-        lines = ["quantity,value,error_estimate"]
-        lines.append(f"regime,{c.regime},")
-        lines.append(f"precision_bits,{c.precision_bits},")
-        for name, value in fields:
-            err = c.errors.get(name, "")
-            lines.append(f"{name},{value},{err}")
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "command": "constants",
+        "family": f.name,
+        "regime": c.regime,
+        "precision_bits": c.precision_bits,
+        "constants": dict(fields),
+        "errors": {k: repr(v) for k, v in sorted(c.errors.items())},
+    }
+    quantities = [("regime", c.regime), ("precision_bits", c.precision_bits)] + fields
+    rows = [
+        {"quantity": name, "value": value, "error_estimate": c.errors.get(name)}
+        for name, value in quantities
+    ]
+    _write(args, payload, ("quantity", "value", "error_estimate"), rows)
     return 0
 
 
@@ -120,46 +127,34 @@ def cmd_constants(args) -> int:
 # cdf
 # ---------------------------------------------------------------------------
 
+CDF_COLUMNS = ("h", "p_exact", "p_asymptotic", "abs_diff")
+
 
 def _cdf_rows(f, n, hmax, prec):
     c = family_constants(f, prec)
     table = cdf_exact(f, n, hmax)
-    rows = []
+    raw = []
     with mp.workprec(prec):
         for row in table.rows:
             approx = cdf_asymptotic(c, n, row.h)
-            diff = abs(fraction_to_mpf(row.p_exact) - approx)
-            rows.append((row.h, row.p_exact, approx, diff))
-    return rows
+            raw.append((row, approx, abs(fraction_to_mpf(row.p_exact) - approx)))
+    return [
+        {
+            "h": row.h,
+            "p_exact": rational_to_decimal(row.p_exact),
+            "p_exact_rational": rational_pair(row.p_exact),
+            "p_asymptotic": real_str(approx),
+            "abs_diff": real_str(diff),
+        }
+        for row, approx, diff in raw
+    ]
 
 
 def cmd_cdf(args) -> int:
     f = _resolve_family(args)
     rows = _cdf_rows(f, args.n, args.hmax, args.prec)
-    if args.format == "json":
-        payload = {
-            "command": "cdf",
-            "family": f.name,
-            "n": args.n,
-            "rows": [
-                {
-                    "h": h,
-                    "p_exact": rational_to_decimal(p),
-                    "p_exact_rational": rational_pair(p),
-                    "p_asymptotic": real_str(approx),
-                    "abs_diff": real_str(diff),
-                }
-                for h, p, approx, diff in rows
-            ],
-        }
-        _emit(_json_dump(payload), args.out)
-    else:
-        lines = ["h,p_exact,p_asymptotic,abs_diff"]
-        for h, p, approx, diff in rows:
-            lines.append(
-                f"{h},{rational_to_decimal(p)},{real_str(approx)},{real_str(diff)}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {"command": "cdf", "family": f.name, "n": args.n, "rows": rows}
+    _write(args, payload, CDF_COLUMNS, rows)
     return 0
 
 
@@ -172,33 +167,22 @@ def cmd_expect(args) -> int:
     f = _resolve_family(args)
     e_exact = expectation_exact(f, args.n)
     c = family_constants(f, args.prec)
-    e_asym = None
-    diff = None
+    e_asym = diff = None
     try:
         e_asym = expectation_asymptotic(c, args.n)
         with mp.workprec(args.prec):
             diff = abs(fraction_to_mpf(e_exact) - e_asym)
     except WrongRegime:
         pass
-    if args.format == "json":
-        payload = {
-            "command": "expect",
-            "family": f.name,
-            "n": args.n,
-            "e_exact_rational": rational_pair(e_exact),
-            "e_exact": rational_to_decimal(e_exact),
-            "e_asymptotic": real_str(e_asym) if e_asym is not None else None,
-            "abs_diff": real_str(diff) if diff is not None else None,
-        }
-        _emit(_json_dump(payload), args.out)
-    else:
-        lines = ["quantity,value"]
-        lines.append(f"e_exact_rational,{rational_pair(e_exact)}")
-        lines.append(f"e_exact,{rational_to_decimal(e_exact)}")
-        if e_asym is not None:
-            lines.append(f"e_asymptotic,{real_str(e_asym)}")
-            lines.append(f"abs_diff,{real_str(diff)}")
-        _emit("\n".join(lines) + "\n", args.out)
+    values = {
+        "e_exact_rational": rational_pair(e_exact),
+        "e_exact": rational_to_decimal(e_exact),
+        "e_asymptotic": _real(e_asym),
+        "abs_diff": _real(diff),
+    }
+    payload = {"command": "expect", "family": f.name, "n": args.n, **values}
+    rows = [{"quantity": k, "value": v} for k, v in values.items() if v is not None]
+    _write(args, payload, ("quantity", "value"), rows)
     return 0
 
 
@@ -210,32 +194,24 @@ def cmd_expect(args) -> int:
 def cmd_oracle(args) -> int:
     f = _resolve_family(args)
     report = oracle_check(f, args.nmax)
-    if args.format == "json":
-        payload = {
-            "command": "oracle",
-            "family": f.name,
-            "nmax": args.nmax,
-            "all_passed": report.passed,
-            "rows": [
-                {
-                    "n": r.n,
-                    "h": r.h,
-                    "oracle": rational_pair(r.oracle_weight),
-                    "series": rational_pair(r.series_coefficient),
-                    "match": r.ok,
-                }
-                for r in report.rows
-            ],
+    rows = [
+        {
+            "n": r.n,
+            "h": r.h,
+            "oracle": rational_pair(r.oracle_weight),
+            "series": rational_pair(r.series_coefficient),
+            "match": r.ok,
         }
-        _emit(_json_dump(payload), args.out)
-    else:
-        lines = ["n,h,oracle,series,match"]
-        for r in report.rows:
-            lines.append(
-                f"{r.n},{r.h},{rational_pair(r.oracle_weight)},"
-                f"{rational_pair(r.series_coefficient)},{'pass' if r.ok else 'FAIL'}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        for r in report.rows
+    ]
+    payload = {
+        "command": "oracle",
+        "family": f.name,
+        "nmax": args.nmax,
+        "all_passed": report.passed,
+        "rows": rows,
+    }
+    _write(args, payload, ("n", "h", "oracle", "series", "match"), rows)
     if not report.passed:
         first = report.first_failure()
         print(
@@ -251,6 +227,8 @@ def cmd_oracle(args) -> int:
 # rhoh
 # ---------------------------------------------------------------------------
 
+RHOH_COLUMNS = ("h", "rho_h", "delta", "predicted", "ratio", "status")
+
 
 def _rho_h_predicted(c, h):
     """Leading term of rho_h - rho in the appropriate regime."""
@@ -265,49 +243,27 @@ def cmd_rhoh(args) -> int:
     f = _resolve_family(args)
     c = family_constants(f, args.prec)
     floor = mp.mpf(2) ** (-(args.prec // 2))
-    rows = []
+    raw = []
     with mp.workprec(args.prec):
         for h in range(args.h_from, args.h_to + 1):
             predicted, signal = _rho_h_predicted(c, h)
             if not signal > floor:
-                rows.append((h, None, None, predicted, None, "needs-more-precision"))
+                raw.append((h, None, None, predicted, None, "needs-more-precision"))
                 continue
             try:
                 sol = solve_rho_h(f, h, args.prec)
             except NoConvergence:
-                rows.append((h, None, None, predicted, None, "no-convergence"))
+                raw.append((h, None, None, predicted, None, "no-convergence"))
                 continue
             delta = sol.rho_h - c.rho
-            rows.append((h, sol.rho_h, delta, predicted, delta / predicted, "ok"))
-
-    def fmt(x):
-        return real_str(x) if x is not None else ""
-
-    if args.format == "json":
-        payload = {
-            "command": "rhoh",
-            "family": f.name,
-            "rows": [
-                {
-                    "h": h,
-                    "rho_h": fmt(rho_h) or None,
-                    "delta": fmt(delta) or None,
-                    "predicted": fmt(predicted),
-                    "ratio": fmt(ratio) or None,
-                    "status": status,
-                }
-                for h, rho_h, delta, predicted, ratio, status in rows
-            ],
-        }
-        _emit(_json_dump(payload), args.out)
-    else:
-        lines = ["h,rho_h,delta,predicted,ratio,status"]
-        for h, rho_h, delta, predicted, ratio, status in rows:
-            lines.append(
-                f"{h},{fmt(rho_h)},{fmt(delta)},{fmt(predicted)},{fmt(ratio)},{status}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all(row[5] == "ok" for row in rows) else 1
+            raw.append((h, sol.rho_h, delta, predicted, delta / predicted, "ok"))
+    rows = [
+        dict(zip(RHOH_COLUMNS, (h, *map(_real, reals), status)))
+        for h, *reals, status in raw
+    ]
+    payload = {"command": "rhoh", "family": f.name, "rows": rows}
+    _write(args, payload, RHOH_COLUMNS, rows)
+    return 0 if all(row["status"] == "ok" for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +281,21 @@ def cmd_figure(args) -> int:
             names = ", ".join(p[0] for p in FIGURE_PANELS)
             raise ProtekError(f"no figure panel for {args.family!r}; panels: {names}")
     if args.n:
-        wanted = {int(p.strip()) for p in args.n.split(",")}
         panels = tuple(
-            (name, tuple(n for n in ns if n in wanted)) for name, ns in panels
+            (name, tuple(n for n in ns if n in args.n)) for name, ns in panels
         )
     written = []
     for name, ns in panels:
         if not ns:
             continue
         f = make_builtin(name)
-        lines = ["family,n,h,p_exact,p_asymptotic,abs_diff"]
-        for n in ns:
-            for h, p, approx, diff in _cdf_rows(f, n, args.hmax, args.prec):
-                lines.append(
-                    f"{name},{n},{h},{rational_to_decimal(p)},"
-                    f"{real_str(approx)},{real_str(diff)}"
-                )
+        rows = [
+            {"family": name, "n": n, **row}
+            for n in ns
+            for row in _cdf_rows(f, n, args.hmax, args.prec)
+        ]
         path = os.path.join(outdir, f"figure_{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit(_csv(("family", "n") + CDF_COLUMNS, rows), path)
         written.append(path)
     for path in written:
         print(f"wrote {path}")
@@ -353,6 +305,26 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _int_at_least(lo):
+    """argparse type: an int >= lo; anything else exits with code 2."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _size_set(text):
+    """argparse type: a comma-separated list of sizes >= 1, as a set."""
+    return {_int_at_least(1)(part) for part in text.split(",")}
 
 
 def _add_family_args(p):
@@ -365,8 +337,12 @@ def _add_family_args(p):
 
 
 def _add_common_args(p):
-    p.add_argument("--prec", type=int, default=_default_precision(),
-                   help="working precision in bits (default 256 or $PROTEK_PREC)")
+    # argparse applies ``type`` to a string default, so $PROTEK_PREC is
+    # validated exactly like --prec.
+    p.add_argument("--prec", type=_int_at_least(64),
+                   default=os.environ.get("PROTEK_PREC") or str(DEFAULT_PRECISION_BITS),
+                   help="working precision in bits, >= 64 "
+                   "(default 256 or $PROTEK_PREC)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
 
@@ -387,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cdf", help="exact and asymptotic CDF at one size")
     _add_family_args(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--hmax", type=int, default=None)
+    p.add_argument("--hmax", type=_int_at_least(0), default=None)
     _add_common_args(p)
     p.set_defaults(func=cmd_cdf)
 
@@ -399,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force cross-check of the counts")
     _add_family_args(p)
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--nmax", type=_int_at_least(1), default=8)
     _add_common_args(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -412,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="CSV data behind the CDF figure panels")
     p.add_argument("--family", help="restrict to one panel")
-    p.add_argument("--n", help="restrict to a comma-separated list of sizes")
-    p.add_argument("--hmax", type=int, default=None)
+    p.add_argument("--n", type=_size_set,
+                   help="restrict to a comma-separated list of sizes")
+    p.add_argument("--hmax", type=_int_at_least(0), default=None)
     _add_common_args(p)
     p.set_defaults(func=cmd_figure)
 
@@ -423,9 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "rhoh" and args.h_to < args.h_from:
+        parser.error("argument --h-to: must be >= --h-from")
     try:
         return args.func(args)
-    except ProtekError as exc:
+    except (ProtekError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,7 +42,6 @@ from .families import (
     GEOMETRIC_MINUS_T,
     POLYNOMIAL,
     WeightFamily,
-    family_structure,
 )
 from .series import TruncatedSeries, compose_phi
 
@@ -318,13 +317,12 @@ class CdfTable:
         raise KeyError(f"no row for h = {h}")
 
 
-def _check_period(f: WeightFamily, n: int):
-    D = family_structure(f).D
-    if (n - 1) % D != 0:
-        raise PeriodMismatch(
-            f"{f.name}: no trees of size {n} exist (period D = {D}; "
-            f"sizes must satisfy n = 1 mod {D})"
-        )
+def _check_period(f: WeightFamily, n: int) -> int:
+    """Scaled total weight y_n; PeriodMismatch when no tree has size n."""
+    yn = _y_coefficients(f, n)[n]
+    if yn == 0:
+        raise PeriodMismatch(f"{f.name}: no trees of size {n} exist (y_{n} = 0)")
+    return yn
 
 
 def default_hmax(f: WeightFamily, n: int) -> int:
@@ -350,10 +348,9 @@ def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
     """Exact CDF rows (h, y_{h,n}/y_n) for h = 0 .. min(hmax, n-1)."""
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    _check_period(f, n)
+    yn = Fraction(_check_period(f, n), _scale(f, n))
     if hmax is None:
         hmax = default_hmax(f, n)
-    yn = Fraction(_y_coefficients(f, n)[n], _scale(f, n))
     rows = []
     for h in range(0, min(hmax, n - 1) + 1):
         p = bounded_count(f, h, n) / yn
@@ -370,10 +367,9 @@ def expectation_exact(f: WeightFamily, n: int) -> Fraction:
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    _check_period(f, n)
+    yn = _check_period(f, n)
     if n == 1:
         return Fraction(0)
-    yn = _y_coefficients(f, n)[n]
     deficit_total = 0
     for h in range(0, n - 1):
         gap = yn - _scaled_count(f, h, n)

@@ -26,7 +26,10 @@ class InvalidWeights(ProtekError):
 
 
 class PeriodMismatch(ProtekError):
-    """No trees exist at this size: n is not congruent to 1 mod the period."""
+    """No trees exist at this size: the total weight y_n is 0.
+
+    That holds for every n != 1 mod the period D, and can hold for some
+    n = 1 mod D as well (w1 = 0 leaves no tree of size 2)."""
 
 
 class CapExceeded(ProtekError):

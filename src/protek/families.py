@@ -63,8 +63,9 @@ def family_structure(f: WeightFamily) -> FamilyStructure:
     """Structural attributes deciding the limit-law regime and the period.
 
     The period D is the gcd over the positive support only; w_0 = 1 always
-    holds, so gcd conventions for index 0 never enter.  Tree sizes carrying
-    nonzero total weight are exactly the n with n = 1 (mod D).
+    holds, so gcd conventions for index 0 never enter.  Every size n with
+    nonzero total weight y_n satisfies n = 1 (mod D), but not every such n
+    has y_n != 0: with w1 = 0 there is no tree of size 2 even when D = 1.
     """
     support = sorted(j for j in f.support_hint if j > 0 and f.weight(j) != 0)
     w1_zero = f.weight(1) == 0

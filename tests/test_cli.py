@@ -48,6 +48,14 @@ class TestConstantsCommand:
         assert code == 1
         assert "family" in err
 
+    def test_csv_error_estimate_empty_without_estimate(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--family", "cayley")
+        assert code == 0
+        rows = {line.split(",")[0]: line.split(",") for line in out.splitlines()}
+        assert rows["quantity"] == ["quantity", "value", "error_estimate"]
+        assert len(rows["tau"]) == 3 and rows["tau"][2] == ""
+        assert rows["lambda1"][2] != ""
+
     def test_precision_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PROTEK_PREC", "192")
         code, out, _ = run_cli(capsys, "constants", "--family", "plane")
@@ -82,6 +90,13 @@ class TestCdfCommand:
         assert out == ""
         assert err == "error: n must be >= 1\n"
 
+    def test_no_tree_of_size_two(self, capsys):
+        # riordan has w1 = 0 and period 1, so n = 2 passes the period test
+        code, out, err = run_cli(capsys, "cdf", "--family", "riordan", "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: riordan: no trees of size 2 exist")
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "cdf", "--family", "riordan", "--n", "13")
         _, out2, _ = run_cli(capsys, "cdf", "--family", "riordan", "--n", "13")
@@ -103,6 +118,17 @@ class TestExpectCommand:
         assert "e_asymptotic" not in out
         value = float(out.splitlines()[2].split(",")[1])
         assert 1.5 < value < 2.5
+
+    def test_double_exponential_json_nulls(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "expect", "--family", "complete-binary", "--n", "25",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["e_asymptotic"] is None
+        assert payload["abs_diff"] is None
+        assert 1.5 < float(payload["e_exact"]) < 2.5
 
     def test_single_vertex(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--family", "plane", "--n", "1")
@@ -126,6 +152,15 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", "--weights", "1,0,1", "--nmax", "7")
         assert code == 0
         assert "4,3,0/1,0/1,pass" in out
+
+    def test_json_booleans(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--family", "plane", "--nmax", "4", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_passed"] is True
+        assert payload["rows"] and all(row["match"] is True for row in payload["rows"])
 
 
 class TestRhohCommand:
@@ -154,6 +189,17 @@ class TestRhohCommand:
         )
         assert code == 1
         assert "needs-more-precision" in out
+
+    def test_precision_floor_json_nulls(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "rhoh", "--family", "complete-binary", "--h-from", "6",
+            "--h-to", "6", "--prec", "128", "--format", "json",
+        )
+        assert code == 1
+        (row,) = json.loads(out)["rows"]
+        assert row["status"] == "needs-more-precision"
+        assert row["rho_h"] is None and row["delta"] is None and row["ratio"] is None
+        assert isinstance(row["predicted"], str)
 
 
 class TestFigureCommand:
@@ -184,3 +230,58 @@ class TestFigureCommand:
         )
         assert code == 1
         assert "panel" in err
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            pytest.param(["constants", "--family", "plane", "--prec", "0"], None,
+                         id="prec-0"),
+            pytest.param(["constants", "--family", "plane", "--prec", "4"], None,
+                         id="prec-4"),
+            pytest.param(["constants", "--family", "plane"], "abc", id="env-prec-abc"),
+            pytest.param(["cdf", "--family", "plane", "--n", "5", "--hmax", "-1"], None,
+                         id="hmax-negative"),
+            pytest.param(["oracle", "--family", "plane", "--nmax", "0"], None,
+                         id="nmax-0"),
+            pytest.param(["oracle", "--family", "plane", "--nmax", "-3"], None,
+                         id="nmax-negative"),
+            pytest.param(["rhoh", "--family", "plane", "--h-from", "5", "--h-to", "3"],
+                         None, id="h-to-below-h-from"),
+            pytest.param(["figure", "--family", "plane", "--n", "abc"], None,
+                         id="figure-n-abc"),
+        ],
+    )
+    def test_rejected_with_exit_two(self, capsys, monkeypatch, tmp_path, argv, env):
+        if env is not None:
+            monkeypatch.setenv("PROTEK_PREC", env)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutPath:
+    def test_unwritable_target_leaves_no_file(self, capsys, tmp_path):
+        argv = ["expect", "--family", "plane", "--n", "4", "--out"]
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        # the target is a directory: the temporary file is written, then removed
+        (tmp_path / "dir").mkdir()
+        code, _, err = run_cli(capsys, *argv, str(tmp_path / "dir"))
+        assert code == 1 and err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+    def test_writes_only_the_target(self, capsys, tmp_path):
+        argv = ["expect", "--family", "plane", "--n", "4"]
+        _, stdout, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (0, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        assert (tmp_path / "x.csv").read_text() == stdout

@@ -123,11 +123,14 @@ class TestCdf:
         assert ps == sorted(ps)
         assert ps[-1] == 1
 
-    def test_period_mismatch(self, complete_binary):
+    def test_period_mismatch(self, complete_binary, riordan):
         with pytest.raises(PeriodMismatch):
             cdf_exact(complete_binary, 206)
         with pytest.raises(PeriodMismatch):
             cdf_exact(make_polynomial([1, 0, 0, 1]), 3)
+        # w1 = 0 with period 1: n = 2 = 1 mod 1, but no tree has 2 vertices
+        with pytest.raises(PeriodMismatch, match="size 2"):
+            cdf_exact(riordan, 2)
 
     def test_period_ok_sizes(self, complete_binary):
         table = cdf_exact(complete_binary, 7, hmax=6)
@@ -161,3 +164,5 @@ class TestExpectation:
     def test_period_mismatch(self, complete_binary):
         with pytest.raises(PeriodMismatch):
             expectation_exact(complete_binary, 6)
+        with pytest.raises(PeriodMismatch, match="size 2"):
+            expectation_exact(make_polynomial(["1", "0", "1/6", "1/10"]), 2)
