@@ -24,9 +24,10 @@ arbitrary-precision floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import mpmath as mp
 
@@ -50,9 +51,10 @@ def solve_tau_rho(
 
     H(t) = t*Phi'(t) - Phi(t) has H(0) = -1 and derivative t*Phi''(t) > 0,
     so the root is bracketed by scanning a geometric grid upward and then
-    polished by Newton with a bisection safeguard.  If the scan reaches
-    the radius (capped at 1e6 for entire Phi) without a sign change, the
-    family has no tau and NoTau is raised.
+    polished by Newton with a bisection safeguard.  The grid ends just
+    below the radius, or for entire Phi at the first of 1e6, 2e6, 4e6, ...
+    where H > 0 (H(t) -> +inf once some w_j > 0 at j >= 2).  If the scan
+    finds no sign change, the family has no tau and NoTau is raised.
     """
     with mp.workprec(precision_bits + _GUARD_BITS):
         def big_h(t):
@@ -63,6 +65,11 @@ def solve_tau_rho(
 
         if math.isinf(f.radius):
             hi_cap = mp.mpf(10) ** 6
+            # the bound only keeps a malformed family from looping forever
+            for _ in range(1 << 14):
+                if big_h(hi_cap) > 0:
+                    break
+                hi_cap *= 2
         else:
             hi_cap = mp.mpf(f.radius) * (1 - mp.mpf(10) ** -6)
 
@@ -141,22 +148,30 @@ def _eta_step(f: WeightFamily, rho, eta, base_bits: int, r: int):
         return rho * (f.phi_eval(eta, 0) - 1)
 
 
+def _etas(f: WeightFamily, rho, tau, r: int) -> Iterator[mp.mpf]:
+    """eta_1, eta_2, ... of eta_0 = tau, eta_k = rho*(Phi(eta_{k-1}) - 1),
+    each a guarded _eta_step above the precision current at the first draw."""
+    bits = mp.mp.prec
+    eta = tau
+    while True:
+        eta = _eta_step(f, rho, eta, bits, r)
+        yield eta
+
+
 def eta_sequence(c: FamilyConstants, f: WeightFamily, kmax: int) -> List[mp.mpf]:
     """eta_0 .. eta_kmax of the recursion eta_0 = tau,
-    eta_k = rho*(Phi(eta_{k-1}) - 1); strictly decreasing to 0."""
-    bits = c.precision_bits + _GUARD_BITS
+    eta_k = rho*(Phi(eta_{k-1}) - 1); strictly decreasing to 0.  lambda1,
+    lambda2 and mu are limits along this same guarded recursion (_etas)."""
     r = c.r if c.r is not None else 1
-    with mp.workprec(bits):
-        out = [c.tau]
-        for _ in range(kmax):
-            out.append(_eta_step(f, c.rho, out[-1], bits, r))
-        return out
+    with mp.workprec(c.precision_bits + _GUARD_BITS):
+        return [c.tau] + list(itertools.islice(_etas(f, c.rho, c.tau, r), kmax))
 
 
 def constants_exponential(
     f: WeightFamily, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> FamilyConstants:
-    """Constants of the exponential regime (requires w1 != 0)."""
+    """Constants of the exponential regime (requires w1 != 0).  lambda1 and
+    lambda2 read the guarded recursion of eta_sequence (_etas, r = 1)."""
     struct = family_structure(f)
     if struct.w1_zero:
         raise WrongRegime(f"{f.name}: w1 = 0, use constants_doubleexp")
@@ -166,15 +181,17 @@ def constants_exponential(
         zeta = rho * w1
         d = 1 / zeta
 
+        # both limits read one eta sequence; tee keeps the values lambda1
+        # drew for lambda2 instead of stepping the recursion again
+        etas1, etas2 = itertools.tee(_etas(f, rho, tau, 1))
+
         # lambda1 = lim zeta^-k eta_k; geometric convergence, so the
         # relative change of successive iterates is the error estimate.
         tol1 = mp.mpf(10) ** -25
-        eta = tau
         q = tau
         scale = mp.mpf(1)
         delta1 = mp.mpf(1)
-        for _ in range(5000):
-            eta = rho * (f.phi_eval(eta, 0) - 1)
+        for eta in itertools.islice(etas1, 5000):
             scale = scale / zeta
             q_new = scale * eta
             delta1 = abs(q_new / q - 1)
@@ -188,10 +205,8 @@ def constants_exponential(
         # lambda2 = prod_{j>=1} Phi'(eta_j)/Phi'(0)
         tol2 = mp.mpf(10) ** -30
         lam2 = mp.mpf(1)
-        eta = tau
         delta2 = mp.mpf(1)
-        for _ in range(5000):
-            eta = rho * (f.phi_eval(eta, 0) - 1)
+        for eta in itertools.islice(etas2, 5000):
             factor = f.phi_eval(eta, 1) / w1
             lam2 *= factor
             delta2 = abs(factor - 1)
@@ -245,14 +260,11 @@ def constants_doubleexp(
         log_lam1 = mp.log(lam1)
 
         tol = mp.mpf(10) ** -30
-        base_bits = precision_bits + _GUARD_BITS
-        eta = tau
         log_ratio = mp.log(tau) - log_lam1
         total = log_ratio
         rpow = mp.mpf(r)
         last_term = mp.mpf(1)
-        for j in range(500):
-            eta = _eta_step(f, rho, eta, base_bits, r)
+        for eta in itertools.islice(_etas(f, rho, tau, r), 500):
             new_log_ratio = mp.log(eta) - log_lam1
             theta = new_log_ratio - r * log_ratio
             term = theta / rpow
@@ -266,7 +278,7 @@ def constants_doubleexp(
                 break
         else:
             raise NoConvergence(f"{f.name}: mu telescoping sum did not stabilize")
-        mu = mp.e ** total
+        mu = mp.exp(total)
         if not (0 < mu < 1):
             raise NoConvergence(f"{f.name}: mu = {mu} is outside (0, 1)")
 
@@ -325,7 +337,7 @@ def cdf_asymptotic(c: FamilyConstants, n: int, h: int) -> mp.mpf:
             exponent = -c.kappa * n * c.d ** mp.mpf(-h)
         else:
             exponent = -c.kappa * n * c.d ** (-mp.mpf(c.r) ** h)
-        return mp.e**exponent
+        return mp.exp(exponent)
 
 
 # Lanczos approximation, g = 7 with 9 coefficients; together with the
@@ -355,7 +367,7 @@ def complex_gamma(z) -> mp.mpc:
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + mp.mpf(1) / 2
-    return mp.sqrt(2 * mp.pi) * t ** (z + mp.mpf(1) / 2) * mp.e ** (-t) * acc
+    return mp.sqrt(2 * mp.pi) * t ** (z + mp.mpf(1) / 2) * mp.exp(-t) * acc
 
 
 def psi_fluctuation(d, x, kmax: int = 10) -> mp.mpf:
@@ -368,7 +380,7 @@ def psi_fluctuation(d, x, kmax: int = 10) -> mp.mpf:
     total = mp.mpf(0)
     for k in range(1, kmax + 1):
         g = complex_gamma(mp.mpc(0, -two_pi * k / ln_d))
-        phase = mp.e ** mp.mpc(0, two_pi * k * x)
+        phase = mp.exp(mp.mpc(0, two_pi * k * x))
         total += 2 * (g * phase).real
     return -total / ln_d
 
@@ -443,28 +455,6 @@ class RhoHSolution:
     residuals: Tuple[mp.mpf, mp.mpf, mp.mpf]
 
 
-def _solve_3x3(jac, rhs):
-    """Gaussian elimination with partial pivoting on a 3x3 mpf system."""
-    a = [row[:] + [rhs[i]] for i, row in enumerate(jac)]
-    n = 3
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(a[i][col]))
-        if a[piv][col] == 0:
-            raise ZeroDivisionError("singular Jacobian")
-        a[col], a[piv] = a[piv], a[col]
-        for i in range(col + 1, n):
-            fac = a[i][col] / a[col][col]
-            for j in range(col, n + 1):
-                a[i][j] -= fac * a[col][j]
-    x = [mp.mpf(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = a[i][n]
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    return x
-
-
 def solve_rho_h(
     f: WeightFamily, h: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> RhoHSolution:
@@ -535,7 +525,7 @@ def solve_rho_h(
                 for row in range(3):
                     jac[row][i] = (res_i[row] - res[row]) / du
             try:
-                delta = _solve_3x3(jac, res)
+                delta = mp.lu_solve(jac, res)
             except ZeroDivisionError as exc:
                 raise NoConvergence(
                     f"{f.name}, h = {h}: singular Newton Jacobian", tuple(u)

@@ -336,14 +336,15 @@ def _add_family_args(p):
     )
 
 
-def _add_common_args(p):
+def _add_common_args(p, table=True):
     # argparse applies ``type`` to a string default, so $PROTEK_PREC is
     # validated exactly like --prec.
     p.add_argument("--prec", type=_int_at_least(64),
                    default=os.environ.get("PROTEK_PREC") or str(DEFAULT_PRECISION_BITS),
                    help="working precision in bits, >= 64 "
                    "(default 256 or $PROTEK_PREC)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table:  # figure writes CSV panels only
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
 
 
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_size_set,
                    help="restrict to a comma-separated list of sizes")
     p.add_argument("--hmax", type=_int_at_least(0), default=None)
-    _add_common_args(p)
+    _add_common_args(p, table=False)
     p.set_defaults(func=cmd_figure)
 
     return parser

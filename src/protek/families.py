@@ -149,7 +149,7 @@ def _cayley_family() -> WeightFamily:
         return Fraction(1, math.factorial(j))
 
     def phi_eval(t, m: int = 0):
-        return mp.e ** mp.mpf(t)
+        return mp.exp(t)
 
     return WeightFamily(
         name="cayley",

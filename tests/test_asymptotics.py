@@ -73,6 +73,14 @@ class TestTauRho:
         with mp.workprec(280):
             assert close(tau**3, mp.mpf(1) / 2, mp.mpf(10) ** -60)
 
+    def test_entire_phi_with_tau_beyond_1e6(self):
+        # H(1e6) < 0 here, so the bracket has to grow past 1e6
+        f = make_polynomial([1, 0, Fraction(1, 10**13)])
+        tau, _ = solve_tau_rho(f)
+        with mp.workprec(280):
+            target = mp.mpf(10) ** mp.mpf("6.5")
+            assert close(tau / target, 1, mp.mpf(10) ** -50)
+
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_defining_identities(self, name):
         f = make_builtin(name)

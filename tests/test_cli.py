@@ -56,6 +56,25 @@ class TestConstantsCommand:
         assert len(rows["tau"]) == 3 and rows["tau"][2] == ""
         assert rows["lambda1"][2] != ""
 
+    @pytest.mark.parametrize("family", ["plane", "cayley", "pruned-binary"])
+    def test_low_precision_limits_match(self, capsys, family):
+        # lambda1 and lambda2 read the cancellation-guarded eta recursion,
+        # so 64 bits print the same 17 digits as 256
+        def values(prec):
+            code, out, err = run_cli(
+                capsys, "constants", "--family", family, "--prec", prec
+            )
+            assert (code, err) == (0, "")
+            rows = dict(line.split(",", 2)[:2] for line in out.splitlines())
+            return [rows[q] for q in ("lambda1", "lambda2", "kappa")]
+
+        assert values("64") == values("256")
+
+    def test_entire_phi_with_distant_tau(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--weights", "1,0,1/10000000000000")
+        assert code == 0
+        assert "tau,3162277.6601683795," in out.splitlines()
+
     def test_precision_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PROTEK_PREC", "192")
         code, out, _ = run_cli(capsys, "constants", "--family", "plane")
@@ -234,26 +253,32 @@ class TestFigureCommand:
 
 class TestArgumentValidation:
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv, env, message",
         [
             pytest.param(["constants", "--family", "plane", "--prec", "0"], None,
-                         id="prec-0"),
+                         "error: argument", id="prec-0"),
             pytest.param(["constants", "--family", "plane", "--prec", "4"], None,
-                         id="prec-4"),
-            pytest.param(["constants", "--family", "plane"], "abc", id="env-prec-abc"),
+                         "error: argument", id="prec-4"),
+            pytest.param(["constants", "--family", "plane"], "abc", "error: argument",
+                         id="env-prec-abc"),
             pytest.param(["cdf", "--family", "plane", "--n", "5", "--hmax", "-1"], None,
-                         id="hmax-negative"),
+                         "error: argument", id="hmax-negative"),
             pytest.param(["oracle", "--family", "plane", "--nmax", "0"], None,
-                         id="nmax-0"),
+                         "error: argument", id="nmax-0"),
             pytest.param(["oracle", "--family", "plane", "--nmax", "-3"], None,
-                         id="nmax-negative"),
+                         "error: argument", id="nmax-negative"),
             pytest.param(["rhoh", "--family", "plane", "--h-from", "5", "--h-to", "3"],
-                         None, id="h-to-below-h-from"),
+                         None, "error: argument", id="h-to-below-h-from"),
             pytest.param(["figure", "--family", "plane", "--n", "abc"], None,
-                         id="figure-n-abc"),
+                         "error: argument", id="figure-n-abc"),
+            pytest.param(["figure", "--family", "plane", "--format", "json"], None,
+                         "error: unrecognized arguments: --format json",
+                         id="figure-format-json"),
         ],
     )
-    def test_rejected_with_exit_two(self, capsys, monkeypatch, tmp_path, argv, env):
+    def test_rejected_with_exit_two(
+        self, capsys, monkeypatch, tmp_path, argv, env, message
+    ):
         if env is not None:
             monkeypatch.setenv("PROTEK_PREC", env)
         monkeypatch.chdir(tmp_path)
@@ -262,7 +287,7 @@ class TestArgumentValidation:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: argument" in captured.err
+        assert message in captured.err
         assert list(tmp_path.iterdir()) == []
 
 
