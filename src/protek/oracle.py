@@ -6,20 +6,29 @@ d_i - 1 stay nonnegative before the last step and end at -1.  Words are
 generated in lexicographic order with allowed outdegrees restricted to
 the support of the weight sequence, so zero-weight families prune early.
 
-The maximum protection number of each tree is computed straight from the
+The maximum protection number of each word is computed straight from the
 definition (a leaf is 0-protected, an inner vertex is one more than its
-least protected child), which makes this module an oracle completely
-independent of the generating-function machinery.
+least protected child): reading the word right to left, a leaf pushes 0
+and a vertex of outdegree d pops the protections of its d children and
+pushes one more than their minimum.  The weight prod_v w_{d(v)} depends
+only on the outdegree multiset, so words are counted in plain ints per
+class (maximum protection, sorted outdegrees) and each class costs one
+Fraction product at the end.  Nothing here uses the generating-function
+machinery, which makes this module an independent oracle for it.
+
+``OrderedTree``, ``enumerate_trees`` and ``max_protection`` give the same
+definition on explicit trees.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .counting import bounded_count
-from .errors import CapExceeded
+from .errors import CapExceeded, InvalidArgument
 from .families import WeightFamily
 
 ENUMERATION_CAP = 12
@@ -115,6 +124,23 @@ def max_protection(tree: OrderedTree) -> int:
     return best
 
 
+def _word_protection(word: Tuple[int, ...]) -> int:
+    """Maximum protection number of the tree with preorder outdegrees
+    ``word``, by one right-to-left pass with a stack of child protections."""
+    stack: List[int] = []
+    best = 0
+    for d in reversed(word):
+        if d == 0:
+            stack.append(0)
+            continue
+        p = 1 + min(stack[-d:])
+        del stack[-d:]
+        stack.append(p)
+        if p > best:
+            best = p
+    return best
+
+
 @dataclass(frozen=True)
 class OracleDistribution:
     """Total weight of n-vertex trees per maximum protection value."""
@@ -140,13 +166,15 @@ def oracle_distribution(
     if not 1 <= n <= cap:
         raise CapExceeded(f"n = {n} outside the enumeration range 1..{cap}")
     allowed = tuple(j for j in range(n) if f.weight(j) != 0)
-    weights: Dict[int, Fraction] = {}
     wcache = {j: f.weight(j) for j in allowed}
-    for word in _words(n, allowed):
-        weight = Fraction(1)
-        for d in word:
+    counts = Counter(
+        (_word_protection(word), tuple(sorted(word))) for word in _words(n, allowed)
+    )
+    weights: Dict[int, Fraction] = {}
+    for (m, degrees), count in counts.items():
+        weight = Fraction(count)
+        for d in degrees:
             weight *= wcache[d]
-        m = max_protection(_tree_from_word(word))
         weights[m] = weights.get(m, Fraction(0)) + weight
     return OracleDistribution(family=f.name, n=n, weights=weights)
 
@@ -179,6 +207,8 @@ def oracle_check(
 ) -> OracleReport:
     """Exact comparison of cumulative oracle weights against the solved
     series coefficients for every n <= nmax and every h <= n - 1."""
+    if nmax < 1:
+        raise InvalidArgument(f"nmax must be >= 1, got {nmax}")
     if nmax > cap:
         raise CapExceeded(f"nmax = {nmax} exceeds the enumeration cap {cap}")
     rows = []

@@ -1,4 +1,4 @@
-"""Exact truncated power-series arithmetic over rational coefficients.
+"""Exact truncated power-series arithmetic with rational coefficients.
 
 Every series is truncated at a fixed order N and carries exactly N + 1
 coefficients.  Coefficients are ``fractions.Fraction`` values, so all
@@ -6,14 +6,19 @@ arithmetic is exact: probabilities produced downstream are reproducible
 to any number of printed digits, and tree counts that grow like c^n are
 held without rounding.
 
-Multiplication is schoolbook O(N^2); truncation orders stay in the low
-hundreds everywhere in this package, so nothing faster is needed.
+The Cauchy product scales each operand to integers over the lcm of its
+coefficient denominators, convolves the integers schoolbook-style in
+O(N^2), and divides once per output coefficient.  Truncation orders stay
+in the low hundreds everywhere in this package, so nothing faster than
+schoolbook is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from math import lcm
+from operator import mul
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 from .errors import OrderMismatch, ValuationError
 
@@ -23,6 +28,13 @@ PhiCoeffs = Union[Sequence[Coefficient], Callable[[int], Coefficient]]
 
 def _coerce(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _scaled(coeffs: Tuple[Fraction, ...]) -> Tuple[List[int], int]:
+    """Integers ``c * d`` for every coefficient ``c``, and their common
+    denominator ``d``, the lcm of the coefficient denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 class TruncatedSeries:
@@ -116,12 +128,13 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated at the common order."""
         self._check_order(other)
-        a, b = self._coeffs, other._coeffs
-        n = self.order
-        out = []
-        for m in range(n + 1):
-            out.append(sum(a[i] * b[m - i] for i in range(m + 1)))
-        return TruncatedSeries(out)
+        a, da = _scaled(self._coeffs)
+        b, db = _scaled(other._coeffs)
+        d = da * db
+        return TruncatedSeries(
+            Fraction(sum(map(mul, a[: m + 1], b[m::-1])), d)
+            for m in range(len(a))
+        )
 
     def scale(self, value: Coefficient) -> "TruncatedSeries":
         v = _coerce(value)

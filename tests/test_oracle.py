@@ -4,6 +4,7 @@ import pytest
 
 from protek import (
     CapExceeded,
+    InvalidArgument,
     OrderedTree,
     enumerate_trees,
     make_builtin,
@@ -13,6 +14,8 @@ from protek import (
     oracle_distribution,
     solve_Y,
 )
+import protek.oracle as oracle_module
+from protek.oracle import _tree_from_word, _word_protection, _words
 from conftest import catalan, complete_binary_tree, leaf, path_tree, tree_height
 
 
@@ -81,6 +84,27 @@ class TestMaxProtection:
         for t in enumerate_trees(7):
             assert max_protection(t) <= tree_height(t)
 
+    def test_word_stack_matches_definition(self):
+        # every plane tree up to ten vertices, by its outdegree word
+        for n in range(1, 11):
+            for word in _words(n, tuple(range(n))):
+                assert _word_protection(word) == max_protection(
+                    _tree_from_word(word)
+                ), word
+
+
+def per_tree_distribution(f, n):
+    """One Fraction product per explicit tree, classified by max_protection."""
+    allowed = [j for j in range(n) if f.weight(j) != 0]
+    out = {}
+    for t in enumerate_trees(n, allowed):
+        weight = Fraction(1)
+        for d in t.outdegrees():
+            weight *= f.weight(d)
+        m = max_protection(t)
+        out[m] = out.get(m, Fraction(0)) + weight
+    return out
+
 
 class TestDistribution:
     def test_plane_four_vertices(self, plane):
@@ -108,6 +132,17 @@ class TestDistribution:
         with pytest.raises(CapExceeded):
             oracle_distribution(plane, 13)
 
+    @pytest.mark.parametrize(
+        "family", ["plane", "cayley", "riordan", "1,1/2,1/3", "1,0,1/6,1/10"]
+    )
+    def test_matches_per_tree_reference(self, family):
+        if "," in family:
+            f = make_polynomial(family.split(","))
+        else:
+            f = make_builtin(family)
+        for n in range(1, 10):
+            assert oracle_distribution(f, n).weights == per_tree_distribution(f, n)
+
 
 class TestOracleCheck:
     @pytest.mark.parametrize("name", ["plane", "riordan", "cayley"])
@@ -129,3 +164,23 @@ class TestOracleCheck:
     def test_cap(self, plane):
         with pytest.raises(CapExceeded):
             oracle_check(plane, 13)
+
+    @pytest.mark.parametrize("nmax", [0, -5])
+    def test_nmax_below_one_is_an_error(self, plane, nmax):
+        with pytest.raises(InvalidArgument):
+            oracle_check(plane, nmax)
+
+    def test_mismatch_fails_the_gate(self, plane, monkeypatch):
+        exact = oracle_module.bounded_count
+
+        def off_at_5_2(f, h, n):
+            value = exact(f, h, n)
+            return value + 1 if (n, h) == (5, 2) else value
+
+        monkeypatch.setattr(oracle_module, "bounded_count", off_at_5_2)
+        report = oracle_check(plane, 6)
+        assert not report.passed
+        first = report.first_failure()
+        assert (first.n, first.h, first.ok) == (5, 2, False)
+        assert first.series_coefficient == first.oracle_weight + 1
+        assert [r for r in report.rows if not r.ok] == [first]

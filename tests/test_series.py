@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -53,8 +54,6 @@ class TestComposePhi:
         assert compose_phi([1, 0, 1], inner) == S(1, 0, 1, 2)
 
     def test_exponential_coefficients(self):
-        from math import factorial
-
         phi = lambda j: Fraction(1, factorial(j))
         got = compose_phi(phi, TruncatedSeries.x(2))
         assert got == TruncatedSeries([1, 1, Fraction(1, 2)])
@@ -93,6 +92,33 @@ def test_compose_matches_horner_by_hand(phi, inner_tail):
     for j in range(len(phi) - 1, -1, -1):
         acc = acc * inner + TruncatedSeries.constant(phi[j], order)
     assert compose_phi(phi, inner) == acc
+
+
+# distinct, large denominators: factorials and primes
+_DENOMINATORS = [factorial(j) for j in range(1, 16)] + [
+    2, 3, 5, 7, 101, 257, 7919, 104729, 2**31 - 1,
+]
+wide_fraction = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.sampled_from(_DENOMINATORS),
+)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=9).flatmap(
+    lambda order: st.tuples(
+        st.lists(wide_fraction, min_size=order + 1, max_size=order + 1),
+        st.lists(wide_fraction, min_size=order + 1, max_size=order + 1),
+    )
+))
+def test_product_matches_schoolbook_fractions(pair):
+    a, b = pair
+    expected = [
+        sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0))
+        for m in range(len(a))
+    ]
+    assert (TruncatedSeries(a) * TruncatedSeries(b)).coeffs == tuple(expected)
 
 
 @settings(max_examples=40)
