@@ -289,11 +289,11 @@ def cmd_figure(args) -> int:
         if not ns:
             continue
         f = make_builtin(name)
-        rows = [
-            {"family": name, "n": n, **row}
-            for n in ns
-            for row in _cdf_rows(f, n, args.hmax, args.prec)
-        ]
+        # largest size first: the smaller sizes then read Y_{h,0} from the
+        # columns cached by its solves
+        by_n = {n: _cdf_rows(f, n, args.hmax, args.prec)
+                for n in sorted(ns, reverse=True)}
+        rows = [{"family": name, "n": n, **row} for n in ns for row in by_n[n]]
         path = os.path.join(outdir, f"figure_{name}.csv")
         _emit(_csv(("family", "n") + CDF_COLUMNS, rows), path)
         written.append(path)

@@ -18,6 +18,20 @@ repeated full sweeps converge to.  Composition with Phi is streamed with
 a per-family recurrence (geometric, exponential or polynomial), keeping
 one solve at O(h * N^2) coefficient operations.
 
+Two windows cut that work without changing a coefficient:
+
+* Upper window.  Counting needs only Y_{h,0}.  Column k feeds column
+  k + 1 one order later, and column h feeds column 1, so for Y_{h,0}
+  through order N column k >= 2 matters only through order
+  N - 1 - h + k.  Such solves stop each column there; columns 0 and 1
+  run through N, so the cached Y_{h,0} serves every n <= N.
+  :func:`solve_protection_system` keeps every column full, because
+  :meth:`ProtectionSeriesSet.residuals` checks all of them.
+* Lower window.  When S has valuation v, every composer starts its
+  convolution at index v, and S^j, which has valuation j*v, starts at
+  j*v.  Column k >= 1 has valuation at least k + 1, and in the
+  double-exponential regime far more.
+
 All solver arithmetic is on plain integers: the coefficient of x^n is
 held as s_n * [x^n], with s_n = L^n for a polynomial Phi whose weight
 denominators have lcm L, s_n = n! for e^t, and s_n = 1 otherwise.  The
@@ -51,20 +65,35 @@ from .series import TruncatedSeries, compose_phi
 # ---------------------------------------------------------------------------
 
 
-class _GeometricComposer:
-    """Phi(t) = 1/(1-t):  G = 1 + S*G, so g_m = sum_j s_j g_{m-j}."""
+def _valuation(arg: list, v: int, m: int) -> int:
+    """First index >= v of a nonzero entry among arg[v..m], else m + 1.
 
-    __slots__ = ("arg", "out")
+    Either way no nonzero entry of ``arg`` sits below the result, so a
+    composer may start its convolution there.  Entries are never changed
+    once written, so each composer resumes its scan where it stopped.
+    """
+    while v <= m and not arg[v]:
+        v += 1
+    return v
+
+
+class _GeometricComposer:
+    """Phi(t) = 1/(1-t):  G = 1 + S*G, so g_m = sum_{j >= v} s_j g_{m-j}."""
+
+    __slots__ = ("arg", "out", "v")
 
     def __init__(self, arg: list):
         self.arg = arg
         self.out = [1]
+        self.v = 1
 
     def coeff(self, m: int):
         out, arg = self.out, self.arg
         while len(out) <= m:
             mm = len(out)
-            out.append(sum(map(mul, arg[1 : mm + 1], reversed(out))))
+            v = self.v = _valuation(arg, self.v, mm)
+            # an empty sum while v > mm: map stops at the empty arg slice
+            out.append(sum(map(mul, arg[v : mm + 1], out[mm - v :: -1])))
         return out[m]
 
 
@@ -86,30 +115,38 @@ class _ExpComposer:
     """Phi(t) = e^t on factorial-scaled coefficients S_j = j!*s_j.
 
     G' = S'G gives G_m = m!*g_m = sum_j C(m-1, j-1)*S_j*G_{m-j}, and
-    coeff(m) = (m+1)!*[x^(m+1)] x*G = (m+1)*G_m.
+    coeff(m) = (m+1)!*[x^(m+1)] x*G = (m+1)*G_m.  The sum starts at the
+    valuation v of S.
     """
 
-    __slots__ = ("arg", "out", "binom")
+    __slots__ = ("arg", "out", "binom", "v")
 
     def __init__(self, arg: list):
         self.arg = arg
         self.out = [1]
         self.binom = [1]  # C(m-1, j-1) for j = 1..m, at m = len(out)
+        self.v = 1
 
     def coeff(self, m: int):
         out, arg = self.out, self.arg
         while len(out) <= m:
             mm = len(out)
             binom = self.binom
-            out.append(sum(map(mul, map(mul, binom, arg[1 : mm + 1]), reversed(out))))
+            v = self.v = _valuation(arg, self.v, mm)
+            terms = map(mul, binom[v - 1 :], arg[v : mm + 1])  # empty while v > mm
+            out.append(sum(map(mul, terms, out[mm - v :: -1])))
             self.binom = [1, *map(add, binom, binom[1:]), 1]
         return (m + 1) * out[m]
 
 
 class _PolyComposer:
-    """Polynomial Phi: maintain the powers S^2..S^J alongside S."""
+    """Polynomial Phi: maintain the powers S^2..S^J alongside S.
 
-    __slots__ = ("arg", "weights", "powers", "out")
+    When S has valuation v, S^p has valuation p*v, so the coefficient of
+    x^m in S^(p+1) = S * S^p sums s_i [x^(m-i)] S^p over v <= i <= m - p*v.
+    """
+
+    __slots__ = ("arg", "weights", "powers", "out", "v")
 
     def __init__(self, weights: tuple, arg: list):
         self.arg = arg
@@ -118,16 +155,21 @@ class _PolyComposer:
         # powers[0] aliases the argument itself (S^1); higher powers own lists.
         self.powers = [arg] + [[0] for _ in range(degree - 1)]
         self.out = [weights[0]]
+        self.v = 1
 
     def coeff(self, m: int):
         out, arg, weights, powers = self.out, self.arg, self.weights, self.powers
         while len(out) <= m:
             mm = len(out)
+            v = self.v = _valuation(arg, self.v, mm)
             # extend each power to index mm in ascending degree
-            for idx in range(1, len(powers)):
-                prev = powers[idx - 1]
-                cur = powers[idx]
-                cur.append(sum(map(mul, arg[1:mm], reversed(prev[1:mm]))))
+            for p in range(1, len(powers)):
+                prev = powers[p - 1]  # S^p, valuation p*v
+                hi = mm - p * v  # last i with a nonzero term
+                powers[p].append(
+                    sum(map(mul, arg[v : hi + 1], prev[mm - v : p * v - 1 : -1]))
+                    if hi >= v else 0
+                )
             total = 0
             for j in range(1, len(weights)):
                 w = weights[j]
@@ -185,31 +227,45 @@ def _y_coefficients(f: WeightFamily, order: int) -> list:
     return ys
 
 
-def _solve_system_raw(f: WeightFamily, h: int, order: int) -> List[list]:
-    """Scaled coefficient lists for Y_{h,0}..Y_{h,h} through ``order``."""
+def _solve_system_raw(
+    f: WeightFamily, h: int, order: int, y0_only: bool = False
+) -> List[list]:
+    """Scaled coefficient lists for Y_{h,0}..Y_{h,h} through ``order``.
+
+    With ``y0_only`` only columns 0 and 1 run through ``order``; column
+    k >= 2 stops at ``order - 1 - h + k``, the last coefficient that still
+    reaches Y_{h,0} at ``order``.
+    """
     unit = _scale(f, 1)
     ys = [[0] for _ in range(h + 1)]
     comps = [_make_composer(f, ys[k]) for k in range(h + 1)]
+    last = [order - 1 - h + k if y0_only and k >= 2 else order for k in range(h + 1)]
     for n in range(1, order + 1):
         m = n - 1
         top = comps[h].coeff(m)
-        new = [None] * (h + 1)
+        # a composer reads its argument only through index m, so column k
+        # may take its order-n coefficient before column k + 1 is formed
         for k in range(1, h + 1):
-            new[k] = comps[k - 1].coeff(m) - top
-        new[0] = new[1] + (unit if n == 1 else 0)
-        for k in range(h + 1):
-            ys[k].append(new[k])
+            if n <= last[k]:
+                ys[k].append(comps[k - 1].coeff(m) - top)
+        ys[0].append(ys[1][n] + (unit if n == 1 else 0))
     return ys
 
 
-def _y0_coefficients(f: WeightFamily, h: int, order: int) -> list:
+def _cache_y0(f: WeightFamily, h: int, column: list) -> list:
+    """Keep the longest exact Y_{h,0} column seen for (f, h)."""
     key = (f.cache_key, h)
     cached = _Y0_CACHE.get(key)
+    if cached is None or len(cached) < len(column):
+        _Y0_CACHE[key] = column
+    return column
+
+
+def _y0_coefficients(f: WeightFamily, h: int, order: int) -> list:
+    cached = _Y0_CACHE.get((f.cache_key, h))
     if cached is not None and len(cached) > order:
         return cached
-    ys = _solve_system_raw(f, h, order)
-    _Y0_CACHE[key] = ys[0]
-    return ys[0]
+    return _cache_y0(f, h, _solve_system_raw(f, h, order, y0_only=True)[0])
 
 
 def solve_Y(f: WeightFamily, order: int) -> TruncatedSeries:
@@ -263,7 +319,7 @@ def solve_protection_system(f: WeightFamily, h: int, order: int) -> ProtectionSe
     if order < 1:
         raise InvalidArgument("order must be >= 1")
     ys = _solve_system_raw(f, h, order)
-    _Y0_CACHE.setdefault((f.cache_key, h), ys[0])
+    _cache_y0(f, h, ys[0])
     return ProtectionSeriesSet(
         family=f,
         h=h,

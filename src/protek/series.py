@@ -175,5 +175,7 @@ def compose_phi(phi_coeffs: PhiCoeffs, inner: TruncatedSeries) -> TruncatedSerie
 
     acc = TruncatedSeries.constant(get(n), n)
     for j in range(n - 1, -1, -1):
-        acc = acc * inner + TruncatedSeries.constant(get(j), n)
+        # adding the constant get(j) changes coefficient 0 alone
+        c0, *rest = (acc * inner)._coeffs
+        acc = TruncatedSeries((c0 + _coerce(get(j)), *rest))
     return acc

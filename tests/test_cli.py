@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from protek.cli import main
+from protek import counting
+from protek.cli import FIGURE_PANELS, main
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +243,37 @@ class TestFigureCommand:
         fa = (a / "figure_complete-binary.csv").read_bytes()
         fb = (b / "figure_complete-binary.csv").read_bytes()
         assert fa == fb
+
+    @pytest.mark.parametrize(
+        "family, sizes", [("plane", (20,)), ("pruned-binary", (20, 100))]
+    )
+    def test_smaller_sizes_read_the_largest_solve(
+        self, capsys, tmp_path, monkeypatch, family, sizes
+    ):
+        solves = []
+        solve = counting._solve_system_raw
+
+        def recorded(f, h, order, *args, **kwargs):
+            solves.append((h, order))
+            return solve(f, h, order, *args, **kwargs)
+
+        def figure(out, *argv):
+            monkeypatch.setattr(counting, "_Y_CACHE", {})
+            monkeypatch.setattr(counting, "_Y0_CACHE", {})
+            run_cli(capsys, "figure", "--family", family, *argv, "--out", str(out))
+            return (out / f"figure_{family}.csv").read_bytes().splitlines()
+
+        monkeypatch.setattr(counting, "_solve_system_raw", recorded)
+        panel = figure(tmp_path / "panel")
+        largest = max(dict(FIGURE_PANELS)[family])
+        hs = [h for h, _ in solves]
+        assert solves and {order for _, order in solves} == {largest}
+        assert len(hs) == len(set(hs))  # one solve per h for the whole panel
+        for n in sizes:
+            alone = figure(tmp_path / str(n), "--n", str(n))
+            prefix = f"{family},{n},".encode()
+            assert [line for line in panel if line.startswith(prefix)] == alone[1:]
+            assert panel[0] == alone[0]
 
     def test_unknown_panel(self, capsys, tmp_path):
         code, _, err = run_cli(

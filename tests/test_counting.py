@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protek import (
     PeriodMismatch,
@@ -14,8 +16,23 @@ from protek import (
     solve_Y,
     solve_protection_system,
 )
+from protek import counting
 from protek.series import compose_phi
 from conftest import catalan
+
+
+BUILTINS = ("plane", "binary", "pruned-binary", "cayley", "riordan", "complete-binary")
+
+
+@st.composite
+def weight_families(draw):
+    """A builtin, or a small polynomial family with w1 = 0 or w1 != 0."""
+    if draw(st.booleans()):
+        return make_builtin(draw(st.sampled_from(BUILTINS)))
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    w1 = draw(st.one_of(st.just(Fraction(0)), weight.filter(bool)))
+    tail = draw(st.lists(weight, min_size=1, max_size=4).filter(any))
+    return make_polynomial([1, w1, *tail])
 
 
 class TestSolveY:
@@ -94,6 +111,23 @@ class TestProtectionSystem:
     def test_counts_nondecreasing_in_h(self, riordan):
         counts = [bounded_count(riordan, h, 13) for h in range(0, 13)]
         assert counts == sorted(counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=weight_families(), h=st.integers(1, 8), order=st.integers(1, 30))
+    def test_windowed_y0_matches_full_solve(self, f, h, order):
+        full = counting._solve_system_raw(f, h, order)
+        windowed = counting._solve_system_raw(f, h, order, y0_only=True)
+        assert windowed[0] == full[0]
+        for col, ref in zip(windowed, full):
+            assert col == ref[: len(col)]
+
+    def test_longer_solve_replaces_cached_column(self, plane, monkeypatch):
+        monkeypatch.setattr(counting, "_Y0_CACHE", {})
+        bounded_count(plane, 3, 11)
+        ps = solve_protection_system(plane, 3, 40)
+        cached = counting._Y0_CACHE[(plane.cache_key, 3)]
+        assert len(cached) == 41
+        assert bounded_count(plane, 3, 40) == ps.y0[40]
 
     def test_rejects_degenerate_arguments(self, plane):
         with pytest.raises(ValueError):
