@@ -134,44 +134,31 @@ class FamilyConstants:
     errors: Dict[str, float] = field(default_factory=dict)
 
 
-def _eta_step(f: WeightFamily, rho, eta, base_bits: int, r: int):
-    """One step eta -> rho*(Phi(eta) - 1) of the protection recursion.
-
-    Phi(eta) - 1 is of size eta^r while Phi(eta) is near 1, so the
-    subtraction cancels about r*log2(1/eta) bits; evaluate with that many
-    extra bits to keep the full relative accuracy of the result.
-    """
-    extra = 16
-    if 0 < eta < 1:
-        extra += int((r + 1) * (-mp.log(eta, 2)))
-    with mp.workprec(base_bits + extra):
-        return rho * (f.phi_eval(eta, 0) - 1)
-
-
-def _etas(f: WeightFamily, rho, tau, r: int) -> Iterator[mp.mpf]:
+def _etas(f: WeightFamily, rho, tau) -> Iterator[mp.mpf]:
     """eta_1, eta_2, ... of eta_0 = tau, eta_k = rho*(Phi(eta_{k-1}) - 1),
-    each a guarded _eta_step above the precision current at the first draw."""
-    bits = mp.mp.prec
+    each step at the working precision of the draw.  Phi - 1 comes from
+    phim1_eval, which has no cancellation, so a tiny eta keeps its full
+    relative accuracy without extra bits."""
     eta = tau
     while True:
-        eta = _eta_step(f, rho, eta, bits, r)
+        eta = rho * f.phim1_eval(eta)
         yield eta
 
 
 def eta_sequence(c: FamilyConstants, f: WeightFamily, kmax: int) -> List[mp.mpf]:
     """eta_0 .. eta_kmax of the recursion eta_0 = tau,
-    eta_k = rho*(Phi(eta_{k-1}) - 1); strictly decreasing to 0.  lambda1,
-    lambda2 and mu are limits along this same guarded recursion (_etas)."""
-    r = c.r if c.r is not None else 1
+    eta_k = rho*(Phi(eta_{k-1}) - 1); strictly decreasing to 0.  Every
+    value is computed and stored at precision_bits + _GUARD_BITS.  lambda1,
+    lambda2 and mu are limits along this same recursion (_etas)."""
     with mp.workprec(c.precision_bits + _GUARD_BITS):
-        return [c.tau] + list(itertools.islice(_etas(f, c.rho, c.tau, r), kmax))
+        return [c.tau] + list(itertools.islice(_etas(f, c.rho, c.tau), kmax))
 
 
 def constants_exponential(
     f: WeightFamily, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> FamilyConstants:
     """Constants of the exponential regime (requires w1 != 0).  lambda1 and
-    lambda2 read the guarded recursion of eta_sequence (_etas, r = 1)."""
+    lambda2 read the recursion of eta_sequence (_etas)."""
     struct = family_structure(f)
     if struct.w1_zero:
         raise WrongRegime(f"{f.name}: w1 = 0, use constants_doubleexp")
@@ -183,7 +170,7 @@ def constants_exponential(
 
         # both limits read one eta sequence; tee keeps the values lambda1
         # drew for lambda2 instead of stepping the recursion again
-        etas1, etas2 = itertools.tee(_etas(f, rho, tau, 1))
+        etas1, etas2 = itertools.tee(_etas(f, rho, tau))
 
         # lambda1 = lim zeta^-k eta_k; geometric convergence, so the
         # relative change of successive iterates is the error estimate.
@@ -264,7 +251,7 @@ def constants_doubleexp(
         total = log_ratio
         rpow = mp.mpf(r)
         last_term = mp.mpf(1)
-        for eta in itertools.islice(_etas(f, rho, tau, r), 500):
+        for eta in itertools.islice(_etas(f, rho, tau), 500):
             new_log_ratio = mp.log(eta) - log_lam1
             theta = new_log_ratio - r * log_ratio
             term = theta / rpow
@@ -453,6 +440,69 @@ class RhoHSolution:
     eta: Tuple[mp.mpf, ...]           # eta_{h,0} .. eta_{h,h}
     s: mp.mpf                         # = Phi(eta_{h,h})
     residuals: Tuple[mp.mpf, mp.mpf, mp.mpf]
+    iterations: int = 0               # Newton steps taken
+
+
+def _rho_h_system(f: WeightFamily, h: int, u):
+    """Residuals, exact Jacobian and eta_{h,0} .. eta_{h,h} of the rho_h
+    system at u = (rho_h, eta_{h,0}, s), at the working precision.
+
+    The derivatives of eta_{h,k} with respect to the three unknowns are
+    carried forward next to eta_{h,k}, and the determinant residual is
+    differentiated through its partials in each factor rho_h*Phi'(eta_{h,j}),
+    read off prefix and suffix products.  Phi, Phi' and Phi'' are evaluated
+    once at each eta_{h,k}.
+    """
+    rho_h, eta0, s = u
+    etas = [eta0, eta0 - rho_h]
+    detas = [(0, 1, 0), (-1, 1, 0)]       # d eta_k / d(rho_h, eta0, s)
+    phi, dphi, ddphi = [], [], []
+    for k in range(h + 1):
+        e = etas[k]
+        phi.append(f.phi_eval(e, 0))
+        dphi.append(f.phi_eval(e, 1))
+        ddphi.append(f.phi_eval(e, 2))
+        if 1 <= k < h:
+            etas.append(rho_h * phi[k] - rho_h * s)
+            g = rho_h * dphi[k]
+            de = detas[k]
+            detas.append((phi[k] - s + g * de[0], g * de[1], g * de[2] - rho_h))
+
+    r1 = s - phi[h]
+    dr1 = [-dphi[h] * d for d in detas[h]]
+    dr1[2] += 1
+
+    r2 = eta0 - rho_h * (phi[0] - s + 1)
+    dr2 = [-(phi[0] - s + 1), 1 - rho_h * dphi[0], rho_h]
+
+    # r3 = P + q*T with p_j = rho_h*Phi'(eta_j), P = p_1*...*p_h,
+    # q = 1 - rho_h*Phi'(eta_0) and T = 1 + sum_{k=2..h} p_k*...*p_h
+    p = [None] + [rho_h * dphi[j] for j in range(1, h + 1)]
+    prefix = [mp.mpf(1)]                  # prefix[j] = p_1*...*p_j
+    for j in range(1, h + 1):
+        prefix.append(prefix[-1] * p[j])
+    suffix = [None] * (h + 2)             # suffix[k] = p_k*...*p_h
+    suffix[h + 1] = acc = tail_sum = mp.mpf(1)
+    for k in range(h, 0, -1):
+        acc *= p[k]
+        suffix[k] = acc
+        if k >= 2:
+            tail_sum += acc
+    q = 1 - rho_h * dphi[0]
+    r3 = prefix[h] + q * tail_sum
+
+    # dr3/dp_j = (prefix[j-1] + q*S_j) * suffix[j+1] with
+    # S_j = sum_{k=2..j} p_k*...*p_{j-1}, and dp_j = Phi'(eta_j) d(rho_h)
+    # + rho_h*Phi''(eta_j) d(eta_j)
+    dr3 = [-dphi[0] * tail_sum, -rho_h * ddphi[0] * tail_sum, 0]
+    s_j = 0
+    for j in range(1, h + 1):
+        a_j = (prefix[j - 1] + q * s_j) * suffix[j + 1]
+        s_j = s_j * p[j] + 1
+        b_j = a_j * rho_h * ddphi[j]
+        dr3 = [dr3[i] + b_j * detas[j][i] for i in range(3)]
+        dr3[0] += a_j * dphi[j]
+    return [r1, r2, r3], [dr1, dr2, dr3], etas
 
 
 def solve_rho_h(
@@ -470,60 +520,24 @@ def solve_rho_h(
       prod_{j=1..h} rho_h*Phi'(eta_{h,j})
         + (1 - rho_h*Phi'(eta_{h,0})) * (1 + sum_{k=2..h} prod_{j=k..h} ...).
 
-    The Newton Jacobian is taken by finite differences with step
-    2^(-precision_bits/3); the initial guess (rho, tau, 1) converges for
-    h >= 2 on all builtin families.
+    The Newton Jacobian is exact: _rho_h_system differentiates the forward
+    propagation alongside it, with Phi'' from phi_eval.  The initial guess
+    (rho, tau, 1) reads tau and rho from the cached family_constants and
+    converges for h >= 2 on all builtin families.  Newton stops once every
+    residual is below 2^(-precision_bits/2), after at most 120 steps.
     """
     if h < 2:
         raise InvalidArgument("h must be >= 2")
     with mp.workprec(precision_bits + _GUARD_BITS):
-        tau, rho = solve_tau_rho(f, precision_bits)
-
-        def phi(t):
-            return f.phi_eval(t, 0)
-
-        def dphi(t):
-            return f.phi_eval(t, 1)
-
-        def propagate(rho_h, eta0, s):
-            etas = [eta0, eta0 - rho_h]
-            for _ in range(2, h + 1):
-                etas.append(rho_h * phi(etas[-1]) - rho_h * s)
-            return etas
-
-        def residuals(u):
-            rho_h, eta0, s = u
-            etas = propagate(rho_h, eta0, s)
-            r1 = s - phi(etas[h])
-            r2 = eta0 - rho_h * (phi(eta0) - s + 1)
-            pj = [rho_h * dphi(etas[j]) for j in range(1, h + 1)]
-            prod_all = mp.mpf(1)
-            for p in pj:
-                prod_all *= p
-            tail_sum = mp.mpf(1)
-            acc = mp.mpf(1)
-            for j in range(h, 1, -1):
-                acc *= pj[j - 1]
-                tail_sum += acc
-            r3 = prod_all + (1 - rho_h * dphi(eta0)) * tail_sum
-            return [r1, r2, r3], etas
-
-        u = [rho, tau, mp.mpf(1)]
-        fd_step = mp.mpf(2) ** (-(precision_bits // 3))
+        c = family_constants(f, precision_bits)
+        rho = c.rho
+        u = [rho, c.tau, mp.mpf(1)]
         tol = mp.mpf(2) ** (-(precision_bits // 2))
-        res, etas = residuals(u)
-        for _ in range(120):
+        res, jac, etas = _rho_h_system(f, h, u)
+        for iterations in range(120):
             norm = max(abs(v) for v in res)
             if norm < tol:
                 break
-            jac = [[mp.mpf(0)] * 3 for _ in range(3)]
-            for i in range(3):
-                du = fd_step * max(mp.mpf(1), abs(u[i]))
-                bumped = u[:]
-                bumped[i] += du
-                res_i, _ = residuals(bumped)
-                for row in range(3):
-                    jac[row][i] = (res_i[row] - res[row]) / du
             try:
                 delta = mp.lu_solve(jac, res)
             except ZeroDivisionError as exc:
@@ -531,7 +545,7 @@ def solve_rho_h(
                     f"{f.name}, h = {h}: singular Newton Jacobian", tuple(u)
                 ) from exc
             u = [u[i] - delta[i] for i in range(3)]
-            res, etas = residuals(u)
+            res, jac, etas = _rho_h_system(f, h, u)
         else:
             raise NoConvergence(
                 f"{f.name}, h = {h}: Newton did not reach the residual target "
@@ -555,4 +569,5 @@ def solve_rho_h(
             eta=tuple(etas),
             s=s,
             residuals=tuple(res),
+            iterations=iterations,
         )

@@ -3,8 +3,9 @@
 A family is fixed by nonnegative weights w_j on vertex outdegrees with
 w_0 = 1.  The weight generating function Phi(t) = sum_j w_j t^j is exposed
 two ways: exact rational coefficient access for the series machinery, and
-high-precision real evaluation of Phi and its derivatives (via mpmath,
-honouring the caller's working precision) for the asymptotic machinery.
+high-precision real evaluation of Phi, its derivatives and Phi - 1 (via
+mpmath, honouring the caller's working precision) for the asymptotic
+machinery.
 
 Builtin families: plane (1/(1-t)), binary aka complete-binary (1+t^2),
 pruned-binary ((1+t)^2), cayley (e^t) and riordan (1/(1-t) - t).
@@ -39,13 +40,15 @@ class WeightFamily:
 
     ``weight(j)`` returns the exact weight of outdegree j as a Fraction;
     ``phi_eval(t, m)`` returns the m-th derivative of Phi at the real
-    point t as an mpmath float.  Instances are immutable and safe to
-    share between threads.
+    point t as an mpmath float, and ``phim1_eval(t)`` returns Phi(t) - 1
+    computed without the cancellation of subtracting 1 from Phi(t) near
+    t = 0.  Instances are immutable and safe to share between threads.
     """
 
     name: str
     weight: Callable[[int], Fraction]
     phi_eval: Callable[..., mp.mpf]
+    phim1_eval: Callable[[mp.mpf], mp.mpf]
     radius: float                      # math.inf when Phi is entire
     support_hint: frozenset
     phi_form: str
@@ -99,6 +102,20 @@ def _polynomial_phi_eval(weights: Tuple[Fraction, ...]):
     return phi_eval
 
 
+def _polynomial_phim1_eval(weights: Tuple[Fraction, ...]):
+    # Horner over w_1 .. w_J, then one factor t: no term of size 1 appears
+    tail = tuple(reversed(weights[1:]))
+
+    def phim1_eval(t):
+        t = mp.mpf(t)
+        total = mp.mpf(0)
+        for w in tail:
+            total = total * t + fraction_to_mpf(w)
+        return total * t
+
+    return phim1_eval
+
+
 def _polynomial_family(
     weights: Sequence[Fraction], name: str, cache_key: str
 ) -> WeightFamily:
@@ -113,6 +130,7 @@ def _polynomial_family(
         name=name,
         weight=weight,
         phi_eval=_polynomial_phi_eval(ws),
+        phim1_eval=_polynomial_phim1_eval(ws),
         radius=math.inf,
         support_hint=frozenset(j for j, w in enumerate(ws) if w != 0),
         phi_form=POLYNOMIAL,
@@ -133,10 +151,15 @@ def _plane_family() -> WeightFamily:
             raise ValueError("plane family: Phi is only defined for t < 1")
         return mp.factorial(m) / (1 - t) ** (m + 1)
 
+    def phim1_eval(t):
+        t = mp.mpf(t)
+        return t / (1 - t)
+
     return WeightFamily(
         name="plane",
         weight=weight,
         phi_eval=phi_eval,
+        phim1_eval=phim1_eval,
         radius=1.0,
         support_hint=frozenset({0, 1, 2, 3}),
         phi_form=GEOMETRIC,
@@ -155,6 +178,7 @@ def _cayley_family() -> WeightFamily:
         name="cayley",
         weight=weight,
         phi_eval=phi_eval,
+        phim1_eval=mp.expm1,
         radius=math.inf,
         support_hint=frozenset({0, 1, 2, 3}),
         phi_form=EXPONENTIAL,
@@ -177,10 +201,15 @@ def _riordan_family() -> WeightFamily:
             return 1 / (1 - t) ** 2 - 1
         return mp.factorial(m) / (1 - t) ** (m + 1)
 
+    def phim1_eval(t):
+        t = mp.mpf(t)
+        return t * t / (1 - t)
+
     return WeightFamily(
         name="riordan",
         weight=weight,
         phi_eval=phi_eval,
+        phim1_eval=phim1_eval,
         radius=1.0,
         support_hint=frozenset({0, 2, 3, 4}),
         phi_form=GEOMETRIC_MINUS_T,

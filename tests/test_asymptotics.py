@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from protek import (
+    BUILTIN_NAMES,
     NoTau,
     PeriodMismatch,
     WeightFamily,
@@ -24,7 +25,7 @@ from protek import (
     solve_tau_rho,
     two_point_predictor,
 )
-from protek.asymptotics import _predictor_round
+from protek.asymptotics import _GUARD_BITS, _predictor_round, _rho_h_system
 from protek.textfmt import fraction_to_mpf
 
 ALL_BUILTINS = ("plane", "binary", "pruned-binary", "cayley", "riordan")
@@ -109,6 +110,7 @@ def _subcritical_family() -> WeightFamily:
         name="subcritical",
         weight=weight,
         phi_eval=phi_eval,
+        phim1_eval=lambda t: mp.polylog(3, t),
         radius=1.0,
         support_hint=frozenset({0, 1, 2, 3}),
         phi_form="geometric",
@@ -149,6 +151,15 @@ class TestEtaSequence:
             c = family_constants(f)
             etas = eta_sequence(c, f, 20)
             assert all(a > b > 0 for a, b in zip(etas, etas[1:]))
+
+    def test_riordan_values_carry_only_the_working_precision(self, riordan):
+        prec = 256
+        etas = eta_sequence(family_constants(riordan, prec), riordan, 20)
+        reference = eta_sequence(family_constants(riordan, 2 * prec), riordan, 20)
+        assert all(eta._mpf_[3] <= prec + _GUARD_BITS for eta in etas)
+        with mp.workprec(4 * prec):
+            for eta, ref in zip(etas, reference):
+                assert abs(eta - ref) <= ref * mp.mpf(2) ** -prec
 
     def test_ratio_limits(self, plane, complete_binary):
         c = family_constants(plane)
@@ -370,6 +381,50 @@ class TestRhoH:
     def test_h_must_be_at_least_two(self, plane):
         with pytest.raises(ValueError):
             solve_rho_h(plane, 1, 128)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_newton_iterations_are_few(self, name):
+        f = make_builtin(name)
+        for h in range(2, 9):
+            assert solve_rho_h(f, h, 256).iterations <= 12
+
+
+def _central_difference_jacobian(f, h, u, prec):
+    """Central finite differences of the rho_h residuals at 2*prec bits."""
+    with mp.workprec(2 * prec):
+        u = [mp.mpf(x) for x in u]
+        jac = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            step = mp.mpf(2) ** -(prec // 2) * max(1, abs(u[i]))
+            up, down = u[:], u[:]
+            up[i] += step
+            down[i] -= step
+            res_up = _rho_h_system(f, h, up)[0]
+            res_down = _rho_h_system(f, h, down)[0]
+            for row in range(3):
+                jac[row][i] = (res_up[row] - res_down[row]) / (2 * step)
+        return jac
+
+
+@pytest.mark.parametrize("spec", BUILTIN_NAMES + ("1,1/2,1/3", "1,0,1/6,1/10"))
+def test_rho_h_jacobian_matches_central_difference(spec):
+    f = make_polynomial(spec.split(",")) if "," in spec else make_builtin(spec)
+    prec = 128
+    c = family_constants(f, prec)
+    for h in range(2, 7):
+        sol = solve_rho_h(f, h, prec)
+        # the Newton start and the converged solution
+        for u in ((c.rho, c.tau, mp.mpf(1)), (sol.rho_h, sol.eta[0], sol.s)):
+            with mp.workprec(prec):
+                _, jac, _ = _rho_h_system(f, h, u)
+            fd = _central_difference_jacobian(f, h, u, prec)
+            with mp.workprec(2 * prec):
+                for row in range(3):
+                    for col in range(3):
+                        err = abs(jac[row][col] - fd[row][col])
+                        assert err <= max(1, abs(fd[row][col])) * mp.mpf(2) ** -96, (
+                            h, row, col,
+                        )
 
 
 class TestCountAsymptotic:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from protek import counting
+from protek import asymptotics, counting
 from protek.cli import FIGURE_PANELS, main
 
 
@@ -201,6 +201,25 @@ class TestRhohCommand:
         assert code == 1
         assert out == ""
         assert err == "error: h must be >= 2\n"
+
+    def test_one_tau_solve_per_precision(self, capsys, monkeypatch):
+        # solve_rho_h reads tau and rho from the cached family constants
+        calls = []
+        solve = asymptotics.solve_tau_rho
+
+        def counted(f, precision_bits):
+            calls.append(precision_bits)
+            return solve(f, precision_bits)
+
+        monkeypatch.setattr(asymptotics, "solve_tau_rho", counted)
+        monkeypatch.setattr(asymptotics, "_CONSTANTS_CACHE", {})
+        for prec in ("256", "128"):
+            code, _, _ = run_cli(
+                capsys, "rhoh", "--family", "plane", "--h-from", "2", "--h-to", "10",
+                "--prec", prec,
+            )
+            assert code == 0
+        assert calls == [256, 128]
 
     def test_precision_floor_reported(self, capsys):
         code, out, _ = run_cli(

@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from protek import (
+    BUILTIN_NAMES,
     InvalidWeights,
     UnknownFamily,
     family_structure,
@@ -63,6 +64,18 @@ def test_phi_eval_agrees_with_coefficient_sum():
                 for j in range(80)
             )
             assert abs(direct - f.phi_eval(t, 0)) < mp.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("spec", BUILTIN_NAMES + ("1,1/2,1/3", "1,0,1/6,1/10"))
+def test_phim1_eval_matches_phi_minus_one_at_four_times_the_precision(spec):
+    f = make_polynomial(spec.split(",")) if "," in spec else make_builtin(spec)
+    with mp.workprec(256):
+        points = [mp.mpf("0.3"), mp.mpf(2) ** -20, mp.mpf(2) ** -300]
+        got = [f.phim1_eval(t) for t in points]
+    with mp.workprec(4 * 256):
+        for t, value in zip(points, got):
+            reference = f.phi_eval(t, 0) - 1
+            assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -250
 
 
 class TestStructure:
