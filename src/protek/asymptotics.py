@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import mpmath as mp
@@ -58,10 +58,8 @@ def solve_tau_rho(
     """
     with mp.workprec(precision_bits + _GUARD_BITS):
         def big_h(t):
-            return t * f.phi_eval(t, 1) - f.phi_eval(t, 0)
-
-        def big_h_prime(t):
-            return t * f.phi_eval(t, 2)
+            phi, dphi = f.phi_derivs(t, 1)
+            return t * dphi - phi
 
         if math.isinf(f.radius):
             hi_cap = mp.mpf(10) ** 6
@@ -91,14 +89,15 @@ def solve_tau_rho(
         t = (lo + hi) / 2
         step_target = mp.mpf(2) ** (-(precision_bits + 10))
         for _ in range(400):
-            ht = big_h(t)
+            phi, dphi, ddphi = f.phi_derivs(t, 2)
+            ht = t * dphi - phi
             if ht > 0:
                 hi = t
             elif ht < 0:
                 lo = t
             else:
                 break
-            slope = big_h_prime(t)
+            slope = t * ddphi
             nt = t - ht / slope if slope != 0 else None
             if nt is None or not (lo < nt < hi):
                 nt = (lo + hi) / 2
@@ -107,7 +106,7 @@ def solve_tau_rho(
             if done:
                 break
         tau = t
-        rho = tau / f.phi_eval(tau, 0)
+        rho = tau / f.phi_derivs(tau, 0)[0]
         return tau, rho
 
 
@@ -194,7 +193,7 @@ def constants_exponential(
         lam2 = mp.mpf(1)
         delta2 = mp.mpf(1)
         for eta in itertools.islice(etas2, 5000):
-            factor = f.phi_eval(eta, 1) / w1
+            factor = f.phi_derivs(eta, 1)[1] / w1
             lam2 *= factor
             delta2 = abs(factor - 1)
             if delta2 < tol2:
@@ -203,8 +202,7 @@ def constants_exponential(
             raise NoConvergence(f"{f.name}: lambda2 product did not stabilize")
 
         kappa = lam1 * (1 - zeta) * zeta / tau
-        phi_tau = f.phi_eval(tau, 0)
-        phi2_tau = f.phi_eval(tau, 2)
+        phi_tau, _, phi2_tau = f.phi_derivs(tau, 2)
         a = -mp.sqrt(2 * phi_tau / phi2_tau)
         return FamilyConstants(
             family=f.name,
@@ -270,8 +268,7 @@ def constants_doubleexp(
             raise NoConvergence(f"{f.name}: mu = {mu} is outside (0, 1)")
 
         d = mu ** (-r)
-        phi_tau = f.phi_eval(tau, 0)
-        phi2_tau = f.phi_eval(tau, 2)
+        phi_tau, _, phi2_tau = f.phi_derivs(tau, 2)
         kappa = w_r * lam1**r / phi_tau
         a = -mp.sqrt(2 * phi_tau / phi2_tau)
         return FamilyConstants(
@@ -299,11 +296,15 @@ _CONSTANTS_CACHE: Dict[Tuple[str, int], FamilyConstants] = {}
 def family_constants(
     f: WeightFamily, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> FamilyConstants:
-    """Regime-dispatching constants computation, cached per family."""
+    """Regime-dispatching constants computation, cached per family.
+
+    Families with the same weights share one cache entry; each caller's
+    copy carries its own family name.
+    """
     key = (f.cache_key, precision_bits)
     hit = _CONSTANTS_CACHE.get(key)
     if hit is not None:
-        return hit
+        return hit if hit.family == f.name else replace(hit, family=f.name)
     if family_structure(f).w1_zero:
         c = constants_doubleexp(f, precision_bits)
     else:
@@ -419,7 +420,9 @@ def two_point_predictor(c: FamilyConstants, n: int) -> Tuple[int, mp.mpf]:
     with mp.workprec(c.precision_bits + _GUARD_BITS):
         log_d_n = mp.log(n) / mp.log(c.d)
         if not log_d_n > 1:
-            raise ValueError(f"need log_d(n) > 1, got {float(log_d_n)} at n = {n}")
+            raise InvalidArgument(
+                f"need log_d(n) > 1, got {float(log_d_n)} at n = {n}"
+            )
         m = mp.log(log_d_n) / mp.log(c.r)
         return _predictor_round(m), m
 
@@ -458,10 +461,10 @@ def _rho_h_system(f: WeightFamily, h: int, u):
     detas = [(0, 1, 0), (-1, 1, 0)]       # d eta_k / d(rho_h, eta0, s)
     phi, dphi, ddphi = [], [], []
     for k in range(h + 1):
-        e = etas[k]
-        phi.append(f.phi_eval(e, 0))
-        dphi.append(f.phi_eval(e, 1))
-        ddphi.append(f.phi_eval(e, 2))
+        v, dv, ddv = f.phi_derivs(etas[k], 2)
+        phi.append(v)
+        dphi.append(dv)
+        ddphi.append(ddv)
         if 1 <= k < h:
             etas.append(rho_h * phi[k] - rho_h * s)
             g = rho_h * dphi[k]
@@ -521,7 +524,7 @@ def solve_rho_h(
         + (1 - rho_h*Phi'(eta_{h,0})) * (1 + sum_{k=2..h} prod_{j=k..h} ...).
 
     The Newton Jacobian is exact: _rho_h_system differentiates the forward
-    propagation alongside it, with Phi'' from phi_eval.  The initial guess
+    propagation alongside it, with Phi'' from phi_derivs.  The initial guess
     (rho, tau, 1) reads tau and rho from the cached family_constants and
     converges for h >= 2 on all builtin families.  Newton stops once every
     residual is below 2^(-precision_bits/2), after at most 120 steps.

@@ -14,9 +14,9 @@ from the tail sum over h.
 The solver propagates coefficients order by order: the x-factor in every
 equation makes the coefficient of x^n depend only on coefficients of
 order < n, so a single forward pass yields the joint fixed point that
-repeated full sweeps converge to.  Composition with Phi is streamed with
-a per-family recurrence (geometric, exponential or polynomial), keeping
-one solve at O(h * N^2) coefficient operations.
+repeated full sweeps converge to.  Composition with Phi is streamed by
+one of two recurrences, one for every rational Phi = R + P/Q and one for
+e^t, keeping one solve at O(h * N^2) coefficient operations.
 
 Two windows cut that work without changing a coefficient:
 
@@ -33,12 +33,13 @@ Two windows cut that work without changing a coefficient:
   double-exponential regime far more.
 
 All solver arithmetic is on plain integers: the coefficient of x^n is
-held as s_n * [x^n], with s_n = L^n for a polynomial Phi whose weight
-denominators have lcm L, s_n = n! for e^t, and s_n = 1 otherwise.  The
-public results are Fractions, formed once at the output; the CDF and the
-expectation divide two counts of the same size, so the scale cancels.
-They can be re-checked against the generic Horner composition of the
-series module through :meth:`ProtectionSeriesSet.residuals`.
+held as s_n * [x^n], with s_n = L^n for a rational Phi = R + P/Q whose
+R and P have denominator lcm L (L = 1 for plane and riordan), and
+s_n = n! for e^t.  The public results are Fractions, formed once at the
+output; the CDF and the expectation divide two counts of the same size,
+so the scale cancels.  They can be re-checked against the generic Horner
+composition of the series module through
+:meth:`ProtectionSeriesSet.residuals`.
 """
 
 from __future__ import annotations
@@ -50,13 +51,7 @@ from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidArgument, PeriodMismatch
-from .families import (
-    EXPONENTIAL,
-    GEOMETRIC,
-    GEOMETRIC_MINUS_T,
-    POLYNOMIAL,
-    WeightFamily,
-)
+from .families import WeightFamily
 from .series import TruncatedSeries, compose_phi
 
 
@@ -77,38 +72,70 @@ def _valuation(arg: list, v: int, m: int) -> int:
     return v
 
 
-class _GeometricComposer:
-    """Phi(t) = 1/(1-t):  G = 1 + S*G, so g_m = sum_{j >= v} s_j g_{m-j}."""
+class _RationalComposer:
+    """Phi = R + P/Q with Q(0) = 1:  outputs R(S) + G with G = P(S)/Q(S).
 
-    __slots__ = ("arg", "out", "v")
+    The coefficients arrive as integers: L*R, L*P and Q, with L the lcm of
+    the denominators of R and P.  Q*G = P(S) with q_0 = 1 gives
+    G = P(S) - sum_{j >= 1} q_j S^j G, so
 
-    def __init__(self, arg: list):
+        g_m = [x^m] P(S) - sum_{j >= 1} q_j sum_{i >= j*v} [x^i] S^j g_(m-i),
+
+    which reads g_0 .. g_(m-1) only (v >= 1).  Every term is a product of
+    integers and no step divides, so every g_m and every output is an
+    integer.  The powers S^2, S^3, ... are kept alongside S; S^p has
+    valuation p*v, so the coefficient of x^m in S^(p+1) = S * S^p sums
+    s_i [x^(m-i)] S^p over v <= i <= m - p*v.
+    """
+
+    __slots__ = ("arg", "r", "p", "negq", "powers", "g", "out", "v")
+
+    def __init__(self, r: list, p: list, q: tuple, arg: list):
         self.arg = arg
-        self.out = [1]
+        degree = max(len(r), len(p), len(q), 2) - 1
+        # powers[0] aliases the argument itself (S^1); higher powers own lists.
+        self.powers = powers = [arg] + [[0] for _ in range(degree - 1)]
+        # (S^j, coefficient) of the nonzero terms with j >= 1, and j for Q
+        self.r = [(powers[j - 1], c) for j, c in enumerate(r) if j and c]
+        self.p = [(powers[j - 1], c) for j, c in enumerate(p) if j and c]
+        self.negq = [(powers[j - 1], j, -c) for j, c in enumerate(q) if j and c]
+        self.g = [p[0]]
+        self.out = [r[0] + p[0]] if any(r) else self.g  # G itself when R = 0
         self.v = 1
 
     def coeff(self, m: int):
-        out, arg = self.out, self.arg
-        while len(out) <= m:
-            mm = len(out)
+        arg, powers, g, out = self.arg, self.powers, self.g, self.out
+        while len(g) <= m:
+            mm = len(g)
             v = self.v = _valuation(arg, self.v, mm)
-            # an empty sum while v > mm: map stops at the empty arg slice
-            out.append(sum(map(mul, arg[v : mm + 1], out[mm - v :: -1])))
+            if v > mm:  # S = O(x^(mm+1)), so every term at x^mm vanishes
+                for power in powers[1:]:
+                    power.append(0)
+                g.append(0)
+                if out is not g:
+                    out.append(0)
+                continue
+            # extend each power to index mm in ascending degree
+            for k in range(1, len(powers)):
+                prev = powers[k - 1]  # S^k, valuation k*v
+                hi = mm - k * v  # last i with a nonzero term
+                powers[k].append(
+                    sum(map(mul, arg[v : hi + 1], prev[mm - v : k * v - 1 : -1]))
+                    if hi >= v else 0
+                )
+            total = 0
+            for power, c in self.p:
+                total += c * power[mm]
+            for power, j, c in self.negq:
+                # S^j has valuation j*v; an empty sum while j*v > mm
+                jv = j * v
+                total += c * sum(map(mul, power[jv : mm + 1], g[mm - jv :: -1]))
+            g.append(total)
+            if out is not g:
+                for power, c in self.r:
+                    total += c * power[mm]
+                out.append(total)
         return out[m]
-
-
-class _RiordanComposer:
-    """Phi(t) = 1/(1-t) - t:  G = geometric(S) - S."""
-
-    __slots__ = ("arg", "geo")
-
-    def __init__(self, arg: list):
-        self.arg = arg
-        self.geo = _GeometricComposer(arg)
-
-    def coeff(self, m: int):
-        g = self.geo.coeff(m)
-        return g if m == 0 else g - self.arg[m]
 
 
 class _ExpComposer:
@@ -139,71 +166,29 @@ class _ExpComposer:
         return (m + 1) * out[m]
 
 
-class _PolyComposer:
-    """Polynomial Phi: maintain the powers S^2..S^J alongside S.
-
-    When S has valuation v, S^p has valuation p*v, so the coefficient of
-    x^m in S^(p+1) = S * S^p sums s_i [x^(m-i)] S^p over v <= i <= m - p*v.
-    """
-
-    __slots__ = ("arg", "weights", "powers", "out", "v")
-
-    def __init__(self, weights: tuple, arg: list):
-        self.arg = arg
-        self.weights = weights
-        degree = len(weights) - 1
-        # powers[0] aliases the argument itself (S^1); higher powers own lists.
-        self.powers = [arg] + [[0] for _ in range(degree - 1)]
-        self.out = [weights[0]]
-        self.v = 1
-
-    def coeff(self, m: int):
-        out, arg, weights, powers = self.out, self.arg, self.weights, self.powers
-        while len(out) <= m:
-            mm = len(out)
-            v = self.v = _valuation(arg, self.v, mm)
-            # extend each power to index mm in ascending degree
-            for p in range(1, len(powers)):
-                prev = powers[p - 1]  # S^p, valuation p*v
-                hi = mm - p * v  # last i with a nonzero term
-                powers[p].append(
-                    sum(map(mul, arg[v : hi + 1], prev[mm - v : p * v - 1 : -1]))
-                    if hi >= v else 0
-                )
-            total = 0
-            for j in range(1, len(weights)):
-                w = weights[j]
-                if w:
-                    total = total + w * powers[j - 1][mm]
-            out.append(total)
-        return out[m]
-
-
 def _scale(f: WeightFamily, n: int) -> int:
-    """s_n: the solver holds s_n * [x^n] of every series as an int."""
-    if f.phi_form == EXPONENTIAL:
+    """s_n: the solver holds s_n * [x^n] of every series as an int.
+
+    s_n = L^n for a rational Phi = R + P/Q, with L the lcm of the
+    denominators of R and P, and s_n = n! for e^t.
+    """
+    if f.rational is None:
         return factorial(n)
-    if f.phi_form == POLYNOMIAL:
-        return lcm(*(w.denominator for w in f.poly_weights)) ** n
-    return 1
+    R, P, _ = f.rational
+    return lcm(*(c.denominator for c in R + P)) ** n
 
 
 def _make_composer(f: WeightFamily, arg: list):
     """Streams s_(m+1) * [x^(m+1)] x*Phi(S) from the scaled coefficients of S.
 
     With s_n = L^n that is [x^m] of L*Phi at the scaled argument, so the
-    polynomial composer runs on the integer weights L*w_j.
+    rational composer runs on L*R, L*P and Q.
     """
-    if f.phi_form == GEOMETRIC:
-        return _GeometricComposer(arg)
-    if f.phi_form == GEOMETRIC_MINUS_T:
-        return _RiordanComposer(arg)
-    if f.phi_form == EXPONENTIAL:
+    if f.rational is None:
         return _ExpComposer(arg)
-    if f.phi_form == POLYNOMIAL:
-        L = _scale(f, 1)
-        return _PolyComposer(tuple(int(L * w) for w in f.poly_weights), arg)
-    raise ValueError(f"unknown phi_form {f.phi_form!r}")
+    R, P, Q = f.rational
+    L = _scale(f, 1)
+    return _RationalComposer([int(L * c) for c in R], [int(L * c) for c in P], Q, arg)
 
 
 # ---------------------------------------------------------------------------

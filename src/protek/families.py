@@ -3,14 +3,17 @@
 A family is fixed by nonnegative weights w_j on vertex outdegrees with
 w_0 = 1.  The weight generating function Phi(t) = sum_j w_j t^j is exposed
 two ways: exact rational coefficient access for the series machinery, and
-high-precision real evaluation of Phi, its derivatives and Phi - 1 (via
-mpmath, honouring the caller's working precision) for the asymptotic
-machinery.
+high-precision real evaluation of Phi and its derivatives (phi_derivs) and
+of Phi - 1 (phim1_eval), via mpmath at the caller's working precision, for
+the asymptotic machinery.
 
-Builtin families: plane (1/(1-t)), binary aka complete-binary (1+t^2),
-pruned-binary ((1+t)^2), cayley (e^t) and riordan (1/(1-t) - t).
-Arbitrary finite weight sequences are supported through
-:func:`make_polynomial`.
+Every family but cayley (e^t) has a rational Phi = R + P/Q, held as the
+coefficient tuples ``rational = (R, P, Q)`` with Q(0) = 1: plane
+((), (1,), (1, -1)) is 1/(1-t), riordan ((0, -1), (1,), (1, -1)) is
+1/(1-t) - t, binary aka complete-binary is 1 + t^2, pruned-binary is
+(1+t)^2, and every finite weight sequence given to :func:`make_polynomial`
+is ((), (w_0, ..., w_J), (1,)).  The weights, both evaluators, the radius
+and the cache key all follow from those coefficients.
 """
 
 from __future__ import annotations
@@ -18,20 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
-from .errors import InvalidWeights, UnknownFamily
+from .errors import InvalidArgument, InvalidWeights, UnknownFamily
 from .textfmt import fraction_to_mpf
 
 WeightLike = Union[int, str, Fraction]
-
-# phi_form values drive the fast composition path in the counting module.
-GEOMETRIC = "geometric"              # Phi(t) = 1/(1-t)
-EXPONENTIAL = "exponential"          # Phi(t) = e^t
-GEOMETRIC_MINUS_T = "geometric-minus-t"  # Phi(t) = 1/(1-t) - t
-POLYNOMIAL = "polynomial"
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,21 +36,22 @@ class WeightFamily:
     """A simply generated family of rooted ordered trees.
 
     ``weight(j)`` returns the exact weight of outdegree j as a Fraction;
-    ``phi_eval(t, m)`` returns the m-th derivative of Phi at the real
-    point t as an mpmath float, and ``phim1_eval(t)`` returns Phi(t) - 1
+    ``phi_derivs(t, m)`` returns [Phi(t), Phi'(t), ..., Phi^(m)(t)] at the
+    real point t as mpmath floats, and ``phim1_eval(t)`` returns Phi(t) - 1
     computed without the cancellation of subtracting 1 from Phi(t) near
-    t = 0.  Instances are immutable and safe to share between threads.
+    t = 0.  ``rational`` is (R, P, Q) with Phi = R + P/Q when Phi is
+    rational, and None for e^t.  Instances are immutable and safe to share
+    between threads.
     """
 
     name: str
     weight: Callable[[int], Fraction]
-    phi_eval: Callable[..., mp.mpf]
+    phi_derivs: Callable[..., List[mp.mpf]]
     phim1_eval: Callable[[mp.mpf], mp.mpf]
     radius: float                      # math.inf when Phi is entire
     support_hint: frozenset
-    phi_form: str
     cache_key: str
-    poly_weights: Optional[Tuple[Fraction, ...]] = None
+    rational: Optional[Tuple[tuple, tuple, tuple]] = None
 
 
 class FamilyStructure(NamedTuple):
@@ -86,84 +84,91 @@ def _to_fraction(value: WeightLike, index: int) -> Fraction:
         raise InvalidWeights(f"weight w{index} is not a rational: {value!r}") from exc
 
 
-def _polynomial_phi_eval(weights: Tuple[Fraction, ...]):
-    def phi_eval(t, m: int = 0):
+def _exact(c: Fraction):
+    """c as an int when integral, which mpmath takes exactly, else c
+    rounded to the working precision."""
+    return c.numerator if c.denominator == 1 else fraction_to_mpf(c)
+
+
+def _rational_family(R, P, Q, name: str) -> WeightFamily:
+    """The family with Phi = R + P/Q.
+
+    R and P are rational coefficient sequences; Q is (1,) or (1, q) with
+    q < 0, so the radius is -1/q.  The weights follow by series division.
+    For the evaluators P = A*Q + c with A a polynomial and c a constant, so
+    Phi^(k)(t) sums a_j*j!/(j-k)!*t^(j-k) over the terms of R + A, in
+    increasing j, and adds c*k!*(-q)^k/Q(t)^(k+1).  Phi - 1 is M/Q with
+    the exact numerator M = P + Q*(R - 1), whose constant term is 0, so
+    it has no cancellation.
+    """
+    R, P = (tuple(map(Fraction, c)) for c in (R, P))
+    while len(P) > 1 and not P[-1]:
+        P = P[:-1]
+    q = Q[1] if len(Q) > 1 else 0
+    radius = -1 / q if q else math.inf
+
+    head = []                          # [t^j] P/Q for j < len(P)
+    for p in P:
+        head.append(p - q * head[-1] if head else p)
+
+    def weight(j: int) -> Fraction:
+        g = head[j] if j < len(head) else head[-1] * (-q) ** (j - len(head) + 1)
+        return g + R[j] if j < len(R) else g
+
+    # c = P(-1/q), and R + A holds the weights less those of c/Q
+    c = sum(p * Fraction(-1, q) ** j for j, p in enumerate(P)) if q else 0
+    poly = [(j, a) for j in range(max(len(R), len(P)))
+            if (a := weight(j) - c * (-q) ** j)]
+
+    def terms(k: int):
+        """(t-exponent, coefficient) pairs and the pole numerator of Phi^(k)."""
+        poly_k = [(j - k, a * math.perm(j, k)) for j, a in poly if j >= k]
+        return poly_k, c * math.factorial(k) * (-q) ** k
+
+    low_terms = [terms(k) for k in range(3)]
+
+    def q_at(t):
+        u = 1 + q * t
+        if not u > 0:
+            raise InvalidArgument(f"{name}: Phi is only defined for t < {radius}")
+        return u
+
+    def phi_derivs(t, m: int = 0) -> List[mp.mpf]:
         t = mp.mpf(t)
-        total = mp.mpf(0)
-        for j, w in enumerate(weights):
-            if w == 0 or j < m:
-                continue
-            falling = 1
-            for i in range(m):
-                falling *= j - i
-            total += fraction_to_mpf(w * falling) * t ** (j - m)
-        return total
+        u = q_at(t) if q else None
+        out = []
+        for k in range(m + 1):
+            poly_k, pole_k = low_terms[k] if k < 3 else terms(k)
+            total = mp.mpf(0)
+            for e, a in poly_k:
+                total += _exact(a) * t ** e
+            if pole_k:
+                total += _exact(pole_k) / u ** (k + 1)
+            out.append(total)
+        return out
 
-    return phi_eval
-
-
-def _polynomial_phim1_eval(weights: Tuple[Fraction, ...]):
-    # Horner over w_1 .. w_J, then one factor t: no term of size 1 appears
-    tail = tuple(reversed(weights[1:]))
+    # m_J .. m_1 of M = Q*(Phi - 1) = P + Q*(R - 1); m_0 = 0
+    horner = [sum(qi * weight(j - i) for i, qi in enumerate(Q[:j]))
+              for j in range(max(len(P), len(Q) + len(R)) - 1, 0, -1)]
 
     def phim1_eval(t):
         t = mp.mpf(t)
         total = mp.mpf(0)
-        for w in tail:
-            total = total * t + fraction_to_mpf(w)
-        return total * t
-
-    return phim1_eval
-
-
-def _polynomial_family(
-    weights: Sequence[Fraction], name: str, cache_key: str
-) -> WeightFamily:
-    ws = tuple(weights)
-    while len(ws) > 1 and ws[-1] == 0:
-        ws = ws[:-1]
-
-    def weight(j: int) -> Fraction:
-        return ws[j] if 0 <= j < len(ws) else Fraction(0)
+        for a in horner:
+            total = total * t + _exact(a)
+        return total * t / q_at(t) if q else total * t
 
     return WeightFamily(
         name=name,
         weight=weight,
-        phi_eval=_polynomial_phi_eval(ws),
-        phim1_eval=_polynomial_phim1_eval(ws),
-        radius=math.inf,
-        support_hint=frozenset(j for j, w in enumerate(ws) if w != 0),
-        phi_form=POLYNOMIAL,
-        cache_key=cache_key,
-        poly_weights=ws,
-    )
-
-
-def _plane_family() -> WeightFamily:
-    one = Fraction(1)
-
-    def weight(j: int) -> Fraction:
-        return one
-
-    def phi_eval(t, m: int = 0):
-        t = mp.mpf(t)
-        if not t < 1:
-            raise ValueError("plane family: Phi is only defined for t < 1")
-        return mp.factorial(m) / (1 - t) ** (m + 1)
-
-    def phim1_eval(t):
-        t = mp.mpf(t)
-        return t / (1 - t)
-
-    return WeightFamily(
-        name="plane",
-        weight=weight,
-        phi_eval=phi_eval,
+        phi_derivs=phi_derivs,
         phim1_eval=phim1_eval,
-        radius=1.0,
-        support_hint=frozenset({0, 1, 2, 3}),
-        phi_form=GEOMETRIC,
-        cache_key="plane",
+        radius=radius,
+        support_hint=frozenset(
+            j for j in range(max(len(R), len(P), len(Q)) + 2) if weight(j)
+        ),
+        cache_key="rational:" + ";".join(",".join(map(str, s)) for s in (R, P, Q)),
+        rational=(R, P, Q),
     )
 
 
@@ -171,62 +176,27 @@ def _cayley_family() -> WeightFamily:
     def weight(j: int) -> Fraction:
         return Fraction(1, math.factorial(j))
 
-    def phi_eval(t, m: int = 0):
-        return mp.exp(t)
+    def phi_derivs(t, m: int = 0) -> List[mp.mpf]:
+        return [mp.exp(t)] * (m + 1)
 
     return WeightFamily(
         name="cayley",
         weight=weight,
-        phi_eval=phi_eval,
+        phi_derivs=phi_derivs,
         phim1_eval=mp.expm1,
         radius=math.inf,
         support_hint=frozenset({0, 1, 2, 3}),
-        phi_form=EXPONENTIAL,
         cache_key="cayley",
     )
 
 
-def _riordan_family() -> WeightFamily:
-    # 1/(1-t) - t: every outdegree allowed except exactly one child.
-    def weight(j: int) -> Fraction:
-        return Fraction(0) if j == 1 else Fraction(1)
-
-    def phi_eval(t, m: int = 0):
-        t = mp.mpf(t)
-        if not t < 1:
-            raise ValueError("riordan family: Phi is only defined for t < 1")
-        if m == 0:
-            return 1 / (1 - t) - t
-        if m == 1:
-            return 1 / (1 - t) ** 2 - 1
-        return mp.factorial(m) / (1 - t) ** (m + 1)
-
-    def phim1_eval(t):
-        t = mp.mpf(t)
-        return t * t / (1 - t)
-
-    return WeightFamily(
-        name="riordan",
-        weight=weight,
-        phi_eval=phi_eval,
-        phim1_eval=phim1_eval,
-        radius=1.0,
-        support_hint=frozenset({0, 2, 3, 4}),
-        phi_form=GEOMETRIC_MINUS_T,
-        cache_key="riordan",
-    )
-
-
 _BUILTIN_BUILDERS = {
-    "plane": _plane_family,
-    "binary": lambda: _polynomial_family(
-        (Fraction(1), Fraction(0), Fraction(1)), "binary", "binary"
-    ),
-    "pruned-binary": lambda: _polynomial_family(
-        (Fraction(1), Fraction(2), Fraction(1)), "pruned-binary", "pruned-binary"
-    ),
+    "plane": lambda: _rational_family((), (1,), (1, -1), "plane"),
+    "binary": lambda: _rational_family((), (1, 0, 1), (1,), "binary"),
+    "pruned-binary": lambda: _rational_family((), (1, 2, 1), (1,), "pruned-binary"),
     "cayley": _cayley_family,
-    "riordan": _riordan_family,
+    # 1/(1-t) - t: every outdegree allowed except exactly one child.
+    "riordan": lambda: _rational_family((0, -1), (1,), (1, -1), "riordan"),
 }
 
 # complete-binary is the same family as binary (Phi = 1 + t^2); both names
@@ -271,6 +241,5 @@ def make_polynomial(
             raise InvalidWeights(f"weights must be nonnegative, got w{j} = {w}")
     if not any(w > 0 for w in ws[2:]):
         raise InvalidWeights("need w_j > 0 for some j >= 2, otherwise only paths exist")
-    key = "poly:" + ",".join(str(w) for w in ws)
     display = name if name is not None else "weights(" + ",".join(str(w) for w in ws) + ")"
-    return _polynomial_family(ws, display, key)
+    return _rational_family((), ws, (1,), display)

@@ -20,7 +20,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
-from .errors import OrderMismatch, ValuationError
+from .errors import InvalidArgument, OrderMismatch, ValuationError
 
 Coefficient = Union[int, Fraction]
 PhiCoeffs = Union[Sequence[Coefficient], Callable[[int], Coefficient]]
@@ -50,7 +50,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Iterable[Coefficient]):
         cs = tuple(_coerce(c) for c in coeffs)
         if not cs:
-            raise ValueError("a truncated series needs at least a constant term")
+            raise InvalidArgument("a truncated series needs at least a constant term")
         self._coeffs = cs
 
     # -- constructors ------------------------------------------------
@@ -67,7 +67,7 @@ class TruncatedSeries:
     def x(cls, order: int) -> "TruncatedSeries":
         """The series x, truncated at ``order`` (which must be >= 1)."""
         if order < 1:
-            raise ValueError("order must be >= 1 to represent x")
+            raise InvalidArgument("order must be >= 1 to represent x")
         return cls([0, 1] + [0] * (order - 1))
 
     # -- accessors ---------------------------------------------------

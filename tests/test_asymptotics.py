@@ -5,6 +5,7 @@ import pytest
 
 from protek import (
     BUILTIN_NAMES,
+    InvalidArgument,
     NoTau,
     PeriodMismatch,
     WeightFamily,
@@ -66,7 +67,8 @@ class TestTauRho:
         assert close(tau, "0.5", mp.mpf(10) ** -60)
         with mp.workprec(280):
             assert close(rho, mp.mpf(1) / 3, mp.mpf(10) ** -60)
-            assert close(riordan.phi_eval(tau, 0), mp.mpf(3) / 2, mp.mpf(10) ** -60)
+            phi_tau = riordan.phi_derivs(tau, 0)[0]
+            assert close(phi_tau, mp.mpf(3) / 2, mp.mpf(10) ** -60)
 
     def test_cubic_family(self):
         f = make_polynomial([1, 0, 0, 1])
@@ -88,8 +90,8 @@ class TestTauRho:
         tau, rho = solve_tau_rho(f)
         with mp.workprec(280):
             tol = mp.mpf(10) ** -25
-            assert abs(rho * f.phi_eval(tau, 1) - 1) < tol
-            assert abs(rho * f.phi_eval(tau, 0) - tau) < tol
+            assert abs(rho * f.phi_derivs(tau, 1)[1] - 1) < tol
+            assert abs(rho * f.phi_derivs(tau, 0)[0] - tau) < tol
             assert tau > rho > 0
 
 
@@ -98,22 +100,22 @@ def _subcritical_family() -> WeightFamily:
     def weight(j: int) -> Fraction:
         return Fraction(1) if j == 0 else Fraction(1, j**3)
 
-    def phi_eval(t, m: int = 0):
+    def phi_derivs(t, m: int = 0):
         t = mp.mpf(t)
-        if m == 0:
-            return 1 + mp.polylog(3, t)
-        if m == 1:
-            return mp.polylog(2, t) / t
-        return (-mp.log(1 - t) - mp.polylog(2, t)) / t**2
+        derivs = [
+            1 + mp.polylog(3, t),
+            mp.polylog(2, t) / t,
+            (-mp.log(1 - t) - mp.polylog(2, t)) / t**2,
+        ]
+        return derivs[: m + 1]
 
     return WeightFamily(
         name="subcritical",
         weight=weight,
-        phi_eval=phi_eval,
+        phi_derivs=phi_derivs,
         phim1_eval=lambda t: mp.polylog(3, t),
         radius=1.0,
         support_hint=frozenset({0, 1, 2, 3}),
-        phi_form="geometric",
         cache_key="subcritical-test",
     )
 
@@ -121,6 +123,17 @@ def _subcritical_family() -> WeightFamily:
 def test_no_tau_detected():
     with pytest.raises(NoTau):
         solve_tau_rho(_subcritical_family())
+
+
+def test_shared_constants_carry_each_family_name():
+    # one cache entry serves binary, its alias and the same weights by hand
+    fams = [make_builtin(name) for name in ("binary", "complete-binary")]
+    fams.append(make_polynomial([1, 0, 1]))
+    consts = [family_constants(f, 96) for f in fams]
+    assert [c.family for c in consts] == ["binary", "complete-binary", "weights(1,0,1)"]
+    assert len({c.tau for c in consts}) == 1
+    with pytest.raises(WrongRegime, match=r"^weights\(1,0,1\):"):
+        expectation_asymptotic(consts[2], 100)
 
 
 class TestEtaSequence:
@@ -360,7 +373,7 @@ class TestRhoH:
         assert all(abs(r) < tol for r in sol.residuals)
         with mp.workprec(280):
             assert abs((sol.eta[0] - sol.eta[1]) - sol.rho_h) < mp.mpf(2) ** -240
-            assert abs(sol.s - plane.phi_eval(sol.eta[6], 0)) < tol
+            assert abs(sol.s - plane.phi_derivs(sol.eta[6], 0)[0]) < tol
         assert sol.rho_h > c.rho
         assert all(a >= b for a, b in zip(sol.eta, sol.eta[1:]))
 
@@ -372,7 +385,7 @@ class TestRhoH:
         c = family_constants(plane)
         sol = solve_rho_h(plane, 14, 256)
         with mp.workprec(280):
-            lhs = sol.rho_h * plane.phi_eval(sol.eta[0], 1) - 1
+            lhs = sol.rho_h * plane.phi_derivs(sol.eta[0], 1)[1] - 1
             rhs = c.lambda2 * (1 - c.zeta) * c.zeta**14
             assert abs(lhs / rhs - 1) < mp.mpf("0.05")
             eta_target = c.lambda1 * (1 - c.zeta) * c.zeta**14
@@ -475,4 +488,8 @@ class TestTwoPointPredictor:
 
     def test_size_too_small(self, complete_binary):
         with pytest.raises(ValueError):
+            two_point_predictor(family_constants(complete_binary), 4)
+
+    def test_size_too_small_is_invalid_argument(self, complete_binary):
+        with pytest.raises(InvalidArgument, match="log_d"):
             two_point_predictor(family_constants(complete_binary), 4)

@@ -6,12 +6,16 @@ import pytest
 
 from protek import (
     BUILTIN_NAMES,
+    InvalidArgument,
     InvalidWeights,
     UnknownFamily,
     family_structure,
     make_builtin,
     make_polynomial,
+    oracle_check,
+    solve_protection_system,
 )
+from protek.families import _rational_family
 
 BUILTIN_COEFFS = {
     "plane": lambda j: Fraction(1),
@@ -49,8 +53,10 @@ def test_phi_eval_derivatives_match_finite_differences(name):
     with mp.workprec(256):
         step = mp.mpf(10) ** -8
         for m in (1, 2):
-            fd = (f.phi_eval(t + step, m - 1) - f.phi_eval(t - step, m - 1)) / (2 * step)
-            exact = f.phi_eval(t, m)
+            upper = f.phi_derivs(t + step, m - 1)[m - 1]
+            lower = f.phi_derivs(t - step, m - 1)[m - 1]
+            fd = (upper - lower) / (2 * step)
+            exact = f.phi_derivs(t, m)[m]
             assert abs(fd - exact) <= abs(exact) * mp.mpf(10) ** -6
 
 
@@ -63,7 +69,7 @@ def test_phi_eval_agrees_with_coefficient_sum():
                 mp.mpf(f.weight(j).numerator) / f.weight(j).denominator * t**j
                 for j in range(80)
             )
-            assert abs(direct - f.phi_eval(t, 0)) < mp.mpf(10) ** -30
+            assert abs(direct - f.phi_derivs(t, 0)[0]) < mp.mpf(10) ** -30
 
 
 @pytest.mark.parametrize("spec", BUILTIN_NAMES + ("1,1/2,1/3", "1,0,1/6,1/10"))
@@ -74,8 +80,70 @@ def test_phim1_eval_matches_phi_minus_one_at_four_times_the_precision(spec):
         got = [f.phim1_eval(t) for t in points]
     with mp.workprec(4 * 256):
         for t, value in zip(points, got):
-            reference = f.phi_eval(t, 0) - 1
+            reference = f.phi_derivs(t, 0)[0] - 1
             assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -250
+
+
+# Closed forms of the plane and riordan Phi, kept as references for the
+# evaluators that derive them from the rational coefficients.
+CLOSED_FORM_DERIVS = {
+    "plane": lambda t, m: mp.factorial(m) / (1 - t) ** (m + 1),
+    "riordan": lambda t, m: (1 / (1 - t) - t, 1 / (1 - t) ** 2 - 1, 2 / (1 - t) ** 3)[m],
+}
+CLOSED_FORM_PHIM1 = {"plane": lambda t: t / (1 - t), "riordan": lambda t: t**2 / (1 - t)}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_DERIVS))
+def test_phi_derivs_and_phim1_eval_match_the_closed_forms(name):
+    f = make_builtin(name)
+    with mp.workprec(256):
+        tol = mp.mpf(2) ** -250
+        for t in (mp.mpf("0.3"), mp.mpf(2) ** -20, mp.mpf("0.9")):
+            for m in range(3):
+                got = f.phi_derivs(t, m)
+                assert len(got) == m + 1
+                for k, value in enumerate(got):
+                    reference = CLOSED_FORM_DERIVS[name](t, k)
+                    assert abs(value - reference) <= abs(reference) * tol
+            reference = CLOSED_FORM_PHIM1[name](t)
+            assert abs(f.phim1_eval(t) - reference) <= abs(reference) * tol
+
+
+@pytest.mark.parametrize("name", ["plane", "riordan"])
+@pytest.mark.parametrize("t", ["1", "1.5"])
+def test_rational_evaluators_reject_t_at_or_beyond_the_radius(name, t):
+    f = make_builtin(name)
+    assert f.radius == 1.0
+    with pytest.raises(InvalidArgument, match="only defined for t < 1"):
+        f.phi_derivs(mp.mpf(t), 0)
+    with pytest.raises(InvalidArgument):
+        f.phim1_eval(mp.mpf(t))
+
+
+def test_rational_family_with_a_numerator_polynomial():
+    # (1+t)/(1-t) = -1 + 2/(1-t): the pole numerator differs from P(0)
+    f = _rational_family((), (1, 1), (1, -1), "one-plus-t-over-one-minus-t")
+    assert [f.weight(j) for j in range(6)] == [1, 2, 2, 2, 2, 2]
+    with mp.workprec(256):
+        t = mp.mpf("0.3")
+        got = f.phi_derivs(t, 2)
+        expected = [2 / (1 - t) - 1, 2 / (1 - t) ** 2, 4 / (1 - t) ** 3]
+        for value, reference in zip(got, expected):
+            assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -250
+        reference = 2 * t / (1 - t)
+        assert abs(f.phim1_eval(t) - reference) <= reference * mp.mpf(2) ** -250
+    assert oracle_check(f, 9).passed
+    residuals = solve_protection_system(f, 3, 12).residuals()
+    assert all(c == 0 for r in residuals for c in r)
+
+
+def test_cache_key_follows_the_coefficients():
+    # trailing zero weights and the builtin name do not change the family
+    binary = make_builtin("binary")
+    assert make_polynomial([1, 0, 1, 0]).cache_key == binary.cache_key
+    assert binary.rational == ((), (1, 0, 1), (1,))
+    assert make_builtin("riordan").rational == ((0, -1), (1,), (1, -1))
+    assert make_builtin("cayley").rational is None
 
 
 class TestStructure:

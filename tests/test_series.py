@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protek import OrderMismatch, TruncatedSeries, ValuationError, compose_phi
+from protek import InvalidArgument, OrderMismatch, TruncatedSeries, ValuationError, compose_phi
 from conftest import catalan
 
 
@@ -23,6 +23,17 @@ class TestAdd:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
             S(1, 1) + S(1, 1, 1)
+
+
+class TestInvalidArgument:
+    def test_empty_series(self):
+        with pytest.raises(InvalidArgument):
+            TruncatedSeries(())
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_x_needs_order_at_least_one(self, order):
+        with pytest.raises(InvalidArgument):
+            TruncatedSeries.x(order)
 
 
 class TestMul:
