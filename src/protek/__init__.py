@@ -11,8 +11,6 @@ from .asymptotics import (
     RhoHSolution,
     cdf_asymptotic,
     complex_gamma,
-    constants_doubleexp,
-    constants_exponential,
     count_asymptotic,
     eta_sequence,
     expectation_asymptotic,

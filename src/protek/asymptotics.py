@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import mpmath as mp
 
 from .errors import InvalidArgument, NoConvergence, NoTau, PeriodMismatch, WrongRegime
-from .families import WeightFamily, family_structure
+from .families import WeightFamily, _memo, family_structure
 from .textfmt import fraction_to_mpf
 
 DEFAULT_PRECISION_BITS = 256
@@ -153,80 +153,59 @@ def eta_sequence(c: FamilyConstants, f: WeightFamily, kmax: int) -> List[mp.mpf]
         return [c.tau] + list(itertools.islice(_etas(f, c.rho, c.tau), kmax))
 
 
-def constants_exponential(
-    f: WeightFamily, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> FamilyConstants:
-    """Constants of the exponential regime (requires w1 != 0).  lambda1 and
-    lambda2 read the recursion of eta_sequence (_etas)."""
-    struct = family_structure(f)
-    if struct.w1_zero:
-        raise WrongRegime(f"{f.name}: w1 = 0, use constants_doubleexp")
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        tau, rho = solve_tau_rho(f, precision_bits)
-        w1 = fraction_to_mpf(f.weight(1))
-        zeta = rho * w1
-        d = 1 / zeta
+def _exponential_limits(f: WeightFamily, tau, rho) -> dict:
+    """lambda1, lambda2 and the fields derived from them, w1 != 0; both
+    limits read the recursion of eta_sequence (_etas)."""
+    w1 = fraction_to_mpf(f.weight(1))
+    zeta = rho * w1
 
-        # both limits read one eta sequence; tee keeps the values lambda1
-        # drew for lambda2 instead of stepping the recursion again
-        etas1, etas2 = itertools.tee(_etas(f, rho, tau))
+    # both limits read one eta sequence; tee keeps the values lambda1
+    # drew for lambda2 instead of stepping the recursion again
+    etas1, etas2 = itertools.tee(_etas(f, rho, tau))
 
-        # lambda1 = lim zeta^-k eta_k; geometric convergence, so the
-        # relative change of successive iterates is the error estimate.
-        tol1 = mp.mpf(10) ** -25
-        q = tau
-        scale = mp.mpf(1)
-        delta1 = mp.mpf(1)
-        for eta in itertools.islice(etas1, 5000):
-            scale = scale / zeta
-            q_new = scale * eta
-            delta1 = abs(q_new / q - 1)
-            q = q_new
-            if delta1 < tol1:
-                break
-        else:
-            raise NoConvergence(f"{f.name}: lambda1 iteration did not stabilize")
-        lam1 = q
+    # lambda1 = lim zeta^-k eta_k; geometric convergence, so the
+    # relative change of successive iterates is the error estimate.
+    tol1 = mp.mpf(10) ** -25
+    q = tau
+    scale = mp.mpf(1)
+    delta1 = mp.mpf(1)
+    for eta in itertools.islice(etas1, 5000):
+        scale = scale / zeta
+        q_new = scale * eta
+        delta1 = abs(q_new / q - 1)
+        q = q_new
+        if delta1 < tol1:
+            break
+    else:
+        raise NoConvergence(f"{f.name}: lambda1 iteration did not stabilize")
+    lam1 = q
 
-        # lambda2 = prod_{j>=1} Phi'(eta_j)/Phi'(0)
-        tol2 = mp.mpf(10) ** -30
-        lam2 = mp.mpf(1)
-        delta2 = mp.mpf(1)
-        for eta in itertools.islice(etas2, 5000):
-            factor = f.phi_derivs(eta, 1)[1] / w1
-            lam2 *= factor
-            delta2 = abs(factor - 1)
-            if delta2 < tol2:
-                break
-        else:
-            raise NoConvergence(f"{f.name}: lambda2 product did not stabilize")
+    # lambda2 = prod_{j>=1} Phi'(eta_j)/Phi'(0)
+    tol2 = mp.mpf(10) ** -30
+    lam2 = mp.mpf(1)
+    delta2 = mp.mpf(1)
+    for eta in itertools.islice(etas2, 5000):
+        factor = f.phi_derivs(eta, 1)[1] / w1
+        lam2 *= factor
+        delta2 = abs(factor - 1)
+        if delta2 < tol2:
+            break
+    else:
+        raise NoConvergence(f"{f.name}: lambda2 product did not stabilize")
 
-        kappa = lam1 * (1 - zeta) * zeta / tau
-        phi_tau, _, phi2_tau = f.phi_derivs(tau, 2)
-        a = -mp.sqrt(2 * phi_tau / phi2_tau)
-        return FamilyConstants(
-            family=f.name,
-            regime="exponential",
-            precision_bits=precision_bits,
-            D=struct.D,
-            tau=tau,
-            rho=rho,
-            phi_tau=phi_tau,
-            phi2_tau=phi2_tau,
-            a=a,
-            lambda1=lam1,
-            kappa=kappa,
-            d=d,
-            zeta=zeta,
-            lambda2=lam2,
-            errors={"lambda1": float(delta1), "lambda2": float(delta2)},
-        )
+    return dict(
+        regime="exponential",
+        lambda1=lam1,
+        kappa=lam1 * (1 - zeta) * zeta / tau,
+        d=1 / zeta,
+        zeta=zeta,
+        lambda2=lam2,
+        errors={"lambda1": float(delta1), "lambda2": float(delta2)},
+    )
 
 
-def constants_doubleexp(
-    f: WeightFamily, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> FamilyConstants:
-    """Constants of the double-exponential regime (requires w1 = 0).
+def _doubleexp_limits(f: WeightFamily, r: int, tau, rho, phi_tau) -> dict:
+    """lambda1, mu and the fields derived from them, w1 = 0.
 
     mu is evaluated through the telescoping sum
     log(mu) = log(eta_0/lambda1) + sum_j theta_j / r^(j+1) with
@@ -234,83 +213,75 @@ def constants_doubleexp(
     r^k-th root of eta_k/lambda1 would lose precision catastrophically,
     while these terms decay doubly exponentially.
     """
-    struct = family_structure(f)
-    if not struct.w1_zero:
-        raise WrongRegime(f"{f.name}: w1 != 0, use constants_exponential")
-    r = struct.r
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        tau, rho = solve_tau_rho(f, precision_bits)
-        w_r = fraction_to_mpf(f.weight(r))
-        lam1 = (rho * w_r) ** (mp.mpf(-1) / (r - 1))
-        log_lam1 = mp.log(lam1)
+    w_r = fraction_to_mpf(f.weight(r))
+    lam1 = (rho * w_r) ** (mp.mpf(-1) / (r - 1))
+    log_lam1 = mp.log(lam1)
 
-        tol = mp.mpf(10) ** -30
-        log_ratio = mp.log(tau) - log_lam1
-        total = log_ratio
-        rpow = mp.mpf(r)
-        last_term = mp.mpf(1)
-        for eta in itertools.islice(_etas(f, rho, tau), 500):
-            new_log_ratio = mp.log(eta) - log_lam1
-            theta = new_log_ratio - r * log_ratio
-            term = theta / rpow
-            total += term
-            rpow *= r
-            log_ratio = new_log_ratio
-            last_term = abs(term)
-            # theta_j = O(eta_j), so once eta is below the tolerance the
-            # remaining tail of the sum is below it too
-            if last_term < tol and eta < tol:
-                break
-        else:
-            raise NoConvergence(f"{f.name}: mu telescoping sum did not stabilize")
-        mu = mp.exp(total)
-        if not (0 < mu < 1):
-            raise NoConvergence(f"{f.name}: mu = {mu} is outside (0, 1)")
+    tol = mp.mpf(10) ** -30
+    log_ratio = mp.log(tau) - log_lam1
+    total = log_ratio
+    rpow = mp.mpf(r)
+    last_term = mp.mpf(1)
+    for eta in itertools.islice(_etas(f, rho, tau), 500):
+        new_log_ratio = mp.log(eta) - log_lam1
+        theta = new_log_ratio - r * log_ratio
+        term = theta / rpow
+        total += term
+        rpow *= r
+        log_ratio = new_log_ratio
+        last_term = abs(term)
+        # theta_j = O(eta_j), so once eta is below the tolerance the
+        # remaining tail of the sum is below it too
+        if last_term < tol and eta < tol:
+            break
+    else:
+        raise NoConvergence(f"{f.name}: mu telescoping sum did not stabilize")
+    mu = mp.exp(total)
+    if not (0 < mu < 1):
+        raise NoConvergence(f"{f.name}: mu = {mu} is outside (0, 1)")
 
-        d = mu ** (-r)
-        phi_tau, _, phi2_tau = f.phi_derivs(tau, 2)
-        kappa = w_r * lam1**r / phi_tau
-        a = -mp.sqrt(2 * phi_tau / phi2_tau)
-        return FamilyConstants(
-            family=f.name,
-            regime="double-exponential",
-            precision_bits=precision_bits,
-            D=struct.D,
-            tau=tau,
-            rho=rho,
-            phi_tau=phi_tau,
-            phi2_tau=phi2_tau,
-            a=a,
-            lambda1=lam1,
-            kappa=kappa,
-            d=d,
-            r=r,
-            mu=mu,
-            errors={"mu": float(last_term)},
-        )
-
-
-_CONSTANTS_CACHE: Dict[Tuple[str, int], FamilyConstants] = {}
+    return dict(
+        regime="double-exponential",
+        lambda1=lam1,
+        kappa=w_r * lam1**r / phi_tau,
+        d=mu ** (-r),
+        r=r,
+        mu=mu,
+        errors={"mu": float(last_term)},
+    )
 
 
 def family_constants(
     f: WeightFamily, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> FamilyConstants:
-    """Regime-dispatching constants computation, cached per family.
+    """Every limit-law constant of f in the regime that w1 selects; only the
+    limits of the eta recursion differ between the two.  Families with the
+    same weights share one stored result; each caller's copy carries its
+    own family name."""
 
-    Families with the same weights share one cache entry; each caller's
-    copy carries its own family name.
-    """
-    key = (f.cache_key, precision_bits)
-    hit = _CONSTANTS_CACHE.get(key)
-    if hit is not None:
-        return hit if hit.family == f.name else replace(hit, family=f.name)
-    if family_structure(f).w1_zero:
-        c = constants_doubleexp(f, precision_bits)
-    else:
-        c = constants_exponential(f, precision_bits)
-    _CONSTANTS_CACHE[key] = c
-    return c
+    def compute() -> FamilyConstants:
+        struct = family_structure(f)
+        with mp.workprec(precision_bits + _GUARD_BITS):
+            tau, rho = solve_tau_rho(f, precision_bits)
+            phi_tau, _, phi2_tau = f.phi_derivs(tau, 2)
+            if struct.w1_zero:
+                limits = _doubleexp_limits(f, struct.r, tau, rho, phi_tau)
+            else:
+                limits = _exponential_limits(f, tau, rho)
+            return FamilyConstants(
+                family=f.name,
+                precision_bits=precision_bits,
+                D=struct.D,
+                tau=tau,
+                rho=rho,
+                phi_tau=phi_tau,
+                phi2_tau=phi2_tau,
+                a=-mp.sqrt(2 * phi_tau / phi2_tau),
+                **limits,
+            )
+
+    c = _memo(f, ("constants", precision_bits), compute)
+    return c if c.family == f.name else replace(c, family=f.name)
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +329,22 @@ def complex_gamma(z) -> mp.mpc:
     return mp.sqrt(2 * mp.pi) * t ** (z + mp.mpf(1) / 2) * mp.exp(-t) * acc
 
 
-def psi_fluctuation(d, x, kmax: int = 10) -> mp.mpf:
+def psi_fluctuation(d, x) -> mp.mpf:
     """The 1-periodic fluctuation
     -(1/log d) * sum_{k != 0} Gamma(-2*pi*i*k/log d) * e^{2*pi*i*k*x},
-    truncated at |k| <= kmax.  Conjugate terms are paired, so only the
-    real parts of k >= 1 enter."""
+    truncated at |k| <= 10.  Conjugate terms are paired, so only the real
+    parts of k >= 1 enter."""
     ln_d = mp.log(d)
     two_pi = 2 * mp.pi
     total = mp.mpf(0)
-    for k in range(1, kmax + 1):
+    for k in range(1, 11):
         g = complex_gamma(mp.mpc(0, -two_pi * k / ln_d))
         phase = mp.exp(mp.mpc(0, two_pi * k * x))
         total += 2 * (g * phase).real
     return -total / ln_d
 
 
-def expectation_asymptotic(c: FamilyConstants, n: int, kmax: int = 10) -> mp.mpf:
+def expectation_asymptotic(c: FamilyConstants, n: int) -> mp.mpf:
     """Mean of the maximum protection number, exponential regime:
     log_d(n) + log_d(kappa) + gamma/log(d) + 1/2 + psi_d(log_d(kappa*n))."""
     if c.regime != "exponential":
@@ -391,7 +362,7 @@ def expectation_asymptotic(c: FamilyConstants, n: int, kmax: int = 10) -> mp.mpf
             + log_d_kappa
             + mp.euler / ln_d
             + mp.mpf(1) / 2
-            + psi_fluctuation(c.d, x, kmax)
+            + psi_fluctuation(c.d, x)
         )
 
 
@@ -525,7 +496,7 @@ def solve_rho_h(
 
     The Newton Jacobian is exact: _rho_h_system differentiates the forward
     propagation alongside it, with Phi'' from phi_derivs.  The initial guess
-    (rho, tau, 1) reads tau and rho from the cached family_constants and
+    (rho, tau, 1) reads tau and rho from the stored family_constants and
     converges for h >= 2 on all builtin families.  Newton stops once every
     residual is below 2^(-precision_bits/2), after at most 120 steps.
     """

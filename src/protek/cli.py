@@ -272,8 +272,6 @@ def cmd_rhoh(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    outdir = args.out or "figures"
-    os.makedirs(outdir, exist_ok=True)
     panels = FIGURE_PANELS
     if args.family:
         panels = tuple(p for p in panels if p[0] == args.family)
@@ -281,9 +279,18 @@ def cmd_figure(args) -> int:
             names = ", ".join(p[0] for p in FIGURE_PANELS)
             raise ProtekError(f"no figure panel for {args.family!r}; panels: {names}")
     if args.n:
+        sizes = sorted({n for _, ns in panels for n in ns})
+        missing = sorted(args.n.difference(sizes))
+        if missing:
+            raise ProtekError(
+                f"no figure panel has size {', '.join(map(str, missing))}; "
+                f"panel sizes: {', '.join(map(str, sizes))}"
+            )
         panels = tuple(
             (name, tuple(n for n in ns if n in args.n)) for name, ns in panels
         )
+    outdir = args.out or "figures"
+    os.makedirs(outdir, exist_ok=True)
     written = []
     for name, ns in panels:
         if not ns:

@@ -24,7 +24,7 @@ Two windows cut that work without changing a coefficient:
   k + 1 one order later, and column h feeds column 1, so for Y_{h,0}
   through order N column k >= 2 matters only through order
   N - 1 - h + k.  Such solves stop each column there; columns 0 and 1
-  run through N, so the cached Y_{h,0} serves every n <= N.
+  run through N, so the stored Y_{h,0} serves every n <= N.
   :func:`solve_protection_system` keeps every column full, because
   :meth:`ProtectionSeriesSet.residuals` checks all of them.
 * Lower window.  When S has valuation v, every composer starts its
@@ -40,6 +40,10 @@ output; the CDF and the expectation divide two counts of the same size,
 so the scale cancels.  They can be re-checked against the generic Horner
 composition of the series module through
 :meth:`ProtectionSeriesSet.residuals`.
+
+The scaled columns of Y and of each Y_{h,0} are kept in the one results
+store of the families module; a stored column serves every order below
+its length, and a longer request replaces it.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import add, mul
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidArgument, PeriodMismatch
-from .families import WeightFamily
+from .families import WeightFamily, _memo
 from .series import TruncatedSeries, compose_phi
 
 
@@ -195,21 +199,18 @@ def _make_composer(f: WeightFamily, arg: list):
 # solvers
 # ---------------------------------------------------------------------------
 
-_Y_CACHE: Dict[str, list] = {}
-_Y0_CACHE: Dict[Tuple[str, int], list] = {}
-
 
 def _y_coefficients(f: WeightFamily, order: int) -> list:
-    """Scaled coefficient list of Y through ``order`` (read-only)."""
-    cached = _Y_CACHE.get(f.cache_key)
-    if cached is not None and len(cached) > order:
-        return cached
-    ys = [0]
-    comp = _make_composer(f, ys)
-    for n in range(1, order + 1):
-        ys.append(comp.coeff(n - 1))
-    _Y_CACHE[f.cache_key] = ys
-    return ys
+    """Scaled coefficient list of Y through at least ``order`` (read-only)."""
+
+    def solve() -> list:
+        ys = [0]
+        comp = _make_composer(f, ys)
+        for n in range(1, order + 1):
+            ys.append(comp.coeff(n - 1))
+        return ys
+
+    return _memo(f, ("Y",), solve, order)
 
 
 def _solve_system_raw(
@@ -237,20 +238,10 @@ def _solve_system_raw(
     return ys
 
 
-def _cache_y0(f: WeightFamily, h: int, column: list) -> list:
-    """Keep the longest exact Y_{h,0} column seen for (f, h)."""
-    key = (f.cache_key, h)
-    cached = _Y0_CACHE.get(key)
-    if cached is None or len(cached) < len(column):
-        _Y0_CACHE[key] = column
-    return column
-
-
 def _y0_coefficients(f: WeightFamily, h: int, order: int) -> list:
-    cached = _Y0_CACHE.get((f.cache_key, h))
-    if cached is not None and len(cached) > order:
-        return cached
-    return _cache_y0(f, h, _solve_system_raw(f, h, order, y0_only=True)[0])
+    return _memo(
+        f, ("Y0", h), lambda: _solve_system_raw(f, h, order, y0_only=True)[0], order
+    )
 
 
 def solve_Y(f: WeightFamily, order: int) -> TruncatedSeries:
@@ -304,7 +295,6 @@ def solve_protection_system(f: WeightFamily, h: int, order: int) -> ProtectionSe
     if order < 1:
         raise InvalidArgument("order must be >= 1")
     ys = _solve_system_raw(f, h, order)
-    _cache_y0(f, h, ys[0])
     return ProtectionSeriesSet(
         family=f,
         h=h,

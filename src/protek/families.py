@@ -200,28 +200,21 @@ _BUILTIN_BUILDERS = {
 }
 
 # complete-binary is the same family as binary (Phi = 1 + t^2); both names
-# are accepted and share all cached computations.
+# are accepted and share every stored result (see _STORE).
 _ALIASES = {"complete-binary": "binary"}
 
 BUILTIN_NAMES = tuple(sorted(_BUILTIN_BUILDERS) + sorted(_ALIASES))
 
-_BUILTIN_CACHE: dict = {}
-
 
 def make_builtin(name: str) -> WeightFamily:
     """Return a builtin family by name (see :data:`BUILTIN_NAMES`)."""
-    if name in _BUILTIN_CACHE:
-        return _BUILTIN_CACHE[name]
     canonical = _ALIASES.get(name, name)
     if canonical not in _BUILTIN_BUILDERS:
         raise UnknownFamily(
             f"unknown family {name!r}; builtins are: {', '.join(BUILTIN_NAMES)}"
         )
     fam = _BUILTIN_BUILDERS[canonical]()
-    if name != canonical:
-        fam = replace(fam, name=name)
-    _BUILTIN_CACHE[name] = fam
-    return fam
+    return fam if name == canonical else replace(fam, name=name)
 
 
 def make_polynomial(
@@ -243,3 +236,19 @@ def make_polynomial(
         raise InvalidWeights("need w_j > 0 for some j >= 2, otherwise only paths exist")
     display = name if name is not None else "weights(" + ",".join(str(w) for w in ws) + ")"
     return _rational_family((), ws, (1,), display)
+
+
+# Every finished result: a scaled coefficient column under
+# (cache_key, "Y") or (cache_key, "Y0", h), and a FamilyConstants under
+# (cache_key, "constants", precision_bits).  Never evicted (README, "Library").
+_STORE: dict = {}
+
+
+def _memo(f: WeightFamily, key: tuple, compute: Callable, order: Optional[int] = None):
+    """_STORE[(f.cache_key, *key)], first set to compute() when it is missing
+    or, given ``order``, when the stored column stops below that order."""
+    full_key = (f.cache_key, *key)
+    hit = _STORE.get(full_key)
+    if hit is None or (order is not None and len(hit) <= order):
+        hit = _STORE[full_key] = compute()
+    return hit

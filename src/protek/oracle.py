@@ -91,14 +91,12 @@ def _words(n: int, allowed: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
 
 
 def enumerate_trees(
-    n: int,
-    allowed_degrees: Optional[Iterable[int]] = None,
-    cap: int = ENUMERATION_CAP,
+    n: int, allowed_degrees: Optional[Iterable[int]] = None
 ) -> Iterator[OrderedTree]:
     """All ordered rooted trees on n vertices with outdegrees in the
     allowed set, each exactly once, in lexicographic word order."""
-    if not 1 <= n <= cap:
-        raise CapExceeded(f"n = {n} outside the enumeration range 1..{cap}")
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise CapExceeded(f"n = {n} outside the enumeration range 1..{ENUMERATION_CAP}")
     if allowed_degrees is None:
         allowed = tuple(range(n))
     else:
@@ -158,13 +156,11 @@ class OracleDistribution:
         )
 
 
-def oracle_distribution(
-    f: WeightFamily, n: int, cap: int = ENUMERATION_CAP
-) -> OracleDistribution:
+def oracle_distribution(f: WeightFamily, n: int) -> OracleDistribution:
     """Aggregate the weight prod_v w_{d(v)} of every n-vertex tree by its
     maximum protection number, skipping zero-weight outdegrees upfront."""
-    if not 1 <= n <= cap:
-        raise CapExceeded(f"n = {n} outside the enumeration range 1..{cap}")
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise CapExceeded(f"n = {n} outside the enumeration range 1..{ENUMERATION_CAP}")
     allowed = tuple(j for j in range(n) if f.weight(j) != 0)
     wcache = {j: f.weight(j) for j in allowed}
     counts = Counter(
@@ -202,19 +198,17 @@ class OracleReport:
         return None
 
 
-def oracle_check(
-    f: WeightFamily, nmax: int, cap: int = ENUMERATION_CAP
-) -> OracleReport:
+def oracle_check(f: WeightFamily, nmax: int) -> OracleReport:
     """Exact comparison of cumulative oracle weights against the solved
     series coefficients for every n <= nmax and every h <= n - 1."""
     if nmax < 1:
         raise InvalidArgument(f"nmax must be >= 1, got {nmax}")
-    if nmax > cap:
-        raise CapExceeded(f"nmax = {nmax} exceeds the enumeration cap {cap}")
+    if nmax > ENUMERATION_CAP:
+        raise CapExceeded(f"nmax = {nmax} exceeds the enumeration cap {ENUMERATION_CAP}")
     rows = []
     all_ok = True
     for n in range(1, nmax + 1):
-        dist = oracle_distribution(f, n, cap)
+        dist = oracle_distribution(f, n)
         for h in range(0, n):
             lhs = dist.cumulative(h)
             rhs = bounded_count(f, h, n)

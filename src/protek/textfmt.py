@@ -24,8 +24,8 @@ def _floor_log10(q: Fraction) -> int:
     return e
 
 
-def rational_to_decimal(q: Fraction, sig: int = SIGNIFICANT_DIGITS) -> str:
-    """Exact decimal form of q with ``sig`` significant digits.
+def rational_to_decimal(q: Fraction) -> str:
+    """Exact decimal form of q with SIGNIFICANT_DIGITS significant digits.
 
     Rounds half to even; exact integers render without a fraction part,
     and magnitudes below 1e-4 switch to scientific notation.
@@ -37,17 +37,17 @@ def rational_to_decimal(q: Fraction, sig: int = SIGNIFICANT_DIGITS) -> str:
     if q.denominator == 1:
         return sign + str(q.numerator)
     e = _floor_log10(q)
-    scaled = q / Fraction(10) ** (e - sig + 1)
+    scaled = q / Fraction(10) ** (e - SIGNIFICANT_DIGITS + 1)
     num, den = scaled.numerator, scaled.denominator
     digits, rem = divmod(num, den)
     twice = 2 * rem
     if twice > den or (twice == den and digits % 2 == 1):
         digits += 1
-    if digits >= 10**sig:
+    if digits >= 10**SIGNIFICANT_DIGITS:
         digits //= 10
         e += 1
     ds = str(digits)
-    if -4 <= e < sig:
+    if -4 <= e < SIGNIFICANT_DIGITS:
         if e >= 0:
             int_part, frac_part = ds[: e + 1], ds[e + 1 :]
             return sign + int_part + ("." + frac_part if frac_part else "")
@@ -59,9 +59,9 @@ def rational_pair(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def real_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
-    """Deterministic decimal form of an mpmath float."""
-    return mp.nstr(mp.mpf(x), sig)
+def real_str(x) -> str:
+    """Deterministic decimal form of an mpmath float, SIGNIFICANT_DIGITS long."""
+    return mp.nstr(mp.mpf(x), SIGNIFICANT_DIGITS)
 
 
 def fraction_to_mpf(q: Fraction) -> mp.mpf:

@@ -13,8 +13,6 @@ from protek import (
     bounded_count,
     cdf_asymptotic,
     complex_gamma,
-    constants_doubleexp,
-    constants_exponential,
     count_asymptotic,
     eta_sequence,
     expectation_asymptotic,
@@ -26,6 +24,7 @@ from protek import (
     solve_tau_rho,
     two_point_predictor,
 )
+from protek import asymptotics, families
 from protek.asymptotics import _GUARD_BITS, _predictor_round, _rho_h_system
 from protek.textfmt import fraction_to_mpf
 
@@ -125,13 +124,20 @@ def test_no_tau_detected():
         solve_tau_rho(_subcritical_family())
 
 
-def test_shared_constants_carry_each_family_name():
-    # one cache entry serves binary, its alias and the same weights by hand
+def test_shared_constants_carry_each_family_name(monkeypatch):
+    # one stored entry serves binary, its alias and the same weights by hand
+    monkeypatch.setattr(families, "_STORE", {})
+    solves = []
+    solve = asymptotics.solve_tau_rho
+    monkeypatch.setattr(
+        asymptotics, "solve_tau_rho", lambda *args: solves.append(args) or solve(*args)
+    )
     fams = [make_builtin(name) for name in ("binary", "complete-binary")]
     fams.append(make_polynomial([1, 0, 1]))
     consts = [family_constants(f, 96) for f in fams]
     assert [c.family for c in consts] == ["binary", "complete-binary", "weights(1,0,1)"]
     assert len({c.tau for c in consts}) == 1
+    assert len(solves) == 1
     with pytest.raises(WrongRegime, match=r"^weights\(1,0,1\):"):
         expectation_asymptotic(consts[2], 100)
 
@@ -250,12 +256,6 @@ class TestConstants:
                 assert abs(alt - c.kappa) < mp.mpf(10) ** -40
         else:
             assert 0 < c.mu < 1
-
-    def test_wrong_regime(self, plane, complete_binary):
-        with pytest.raises(WrongRegime):
-            constants_exponential(complete_binary)
-        with pytest.raises(WrongRegime):
-            constants_doubleexp(plane)
 
     def test_riordan_mu_agrees_with_singularity_route(self, riordan):
         # two independent computations of the decay base

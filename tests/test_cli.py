@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from protek import asymptotics, counting
+from protek import asymptotics, counting, families
 from protek.cli import FIGURE_PANELS, main
 
 
@@ -75,6 +75,51 @@ class TestConstantsCommand:
         code, out, _ = run_cli(capsys, "constants", "--weights", "1,0,1/10000000000000")
         assert code == 0
         assert "tau,3162277.6601683795," in out.splitlines()
+
+    # The full CSV of one family per regime at 96 bits, so that reordering
+    # a sum in the constants routine cannot move a printed digit unseen; the
+    # byte-exact digest pool holds constants at 4096 bits only.  ROADMAP
+    # item 3 re-records these strings.
+    PINNED_CSV = {
+        "pruned-binary": (
+            "quantity,value,error_estimate\n"
+            "regime,exponential,\n"
+            "precision_bits,96,\n"
+            "tau,1.0,\n"
+            "rho,0.25,\n"
+            "phi_tau,4.0,\n"
+            "phi2_tau,2.0,\n"
+            "a,-2.0,\n"
+            "lambda1,3.6640211667090865,9.471272728322162e-26\n"
+            "kappa,0.91600529167727163,\n"
+            "d,2.0,\n"
+            "zeta,0.5,\n"
+            "lambda2,5.1321525072056984,7.226013919702456e-31\n"
+            "D,1,\n"
+        ),
+        "riordan": (
+            "quantity,value,error_estimate\n"
+            "regime,double-exponential,\n"
+            "precision_bits,96,\n"
+            "tau,0.5,\n"
+            "rho,0.33333333333333331,\n"
+            "phi_tau,1.5,\n"
+            "phi2_tau,16.0,\n"
+            "a,-0.4330127018922193,\n"
+            "lambda1,3.0,\n"
+            "kappa,6.0,\n"
+            "d,16.385756516576414,\n"
+            "r,2,\n"
+            "mu,0.24703970008338957,1.504632769052528e-36\n"
+            "D,1,\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(PINNED_CSV))
+    def test_pinned_csv_at_96_bits(self, capsys, family):
+        code, out, err = run_cli(capsys, "constants", "--family", family, "--prec", "96")
+        assert (code, err) == (0, "")
+        assert out == self.PINNED_CSV[family]
 
     def test_precision_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PROTEK_PREC", "192")
@@ -212,7 +257,7 @@ class TestRhohCommand:
             return solve(f, precision_bits)
 
         monkeypatch.setattr(asymptotics, "solve_tau_rho", counted)
-        monkeypatch.setattr(asymptotics, "_CONSTANTS_CACHE", {})
+        monkeypatch.setattr(families, "_STORE", {})
         for prec in ("256", "128"):
             code, _, _ = run_cli(
                 capsys, "rhoh", "--family", "plane", "--h-from", "2", "--h-to", "10",
@@ -277,8 +322,7 @@ class TestFigureCommand:
             return solve(f, h, order, *args, **kwargs)
 
         def figure(out, *argv):
-            monkeypatch.setattr(counting, "_Y_CACHE", {})
-            monkeypatch.setattr(counting, "_Y0_CACHE", {})
+            monkeypatch.setattr(families, "_STORE", {})
             run_cli(capsys, "figure", "--family", family, *argv, "--out", str(out))
             return (out / f"figure_{family}.csv").read_bytes().splitlines()
 
@@ -300,6 +344,36 @@ class TestFigureCommand:
         )
         assert code == 1
         assert "panel" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["--family", "plane", "--n", "7"],
+                "error: no figure panel has size 7; panel sizes: 20, 100, 200\n",
+                id="plane-7",
+            ),
+            pytest.param(
+                ["--n", "20,7"],
+                "error: no figure panel has size 7; "
+                "panel sizes: 20, 25, 100, 105, 200, 205\n",
+                id="all-20-7",
+            ),
+        ],
+    )
+    def test_size_of_no_panel_is_an_error(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "figs"
+        code, out, err = run_cli(capsys, "figure", *argv, "--out", str(out_dir))
+        assert (code, out, err) == (1, "", message)
+        assert not out_dir.exists()
+
+    def test_size_selects_the_panels_that_have_it(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "figure", "--n", "20", "--out", str(tmp_path))
+        assert code == 0
+        names = ("plane", "cayley", "pruned-binary")
+        paths = [tmp_path / f"figure_{name}.csv" for name in names]
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+        assert out == "".join(f"wrote {path}\n" for path in paths)
 
 
 class TestArgumentValidation:

@@ -16,7 +16,7 @@ from protek import (
     solve_Y,
     solve_protection_system,
 )
-from protek import counting
+from protek import counting, families
 from protek.series import compose_phi
 from conftest import catalan
 
@@ -122,12 +122,34 @@ class TestProtectionSystem:
             assert col == ref[: len(col)]
 
     def test_longer_solve_replaces_cached_column(self, plane, monkeypatch):
-        monkeypatch.setattr(counting, "_Y0_CACHE", {})
+        monkeypatch.setattr(families, "_STORE", {})
+        key = (plane.cache_key, "Y0", 3)
         bounded_count(plane, 3, 11)
-        ps = solve_protection_system(plane, 3, 40)
-        cached = counting._Y0_CACHE[(plane.cache_key, 3)]
-        assert len(cached) == 41
-        assert bounded_count(plane, 3, 40) == ps.y0[40]
+        assert len(families._STORE[key]) == 12
+        assert bounded_count(plane, 3, 40) == solve_protection_system(plane, 3, 40).y0[40]
+        assert len(families._STORE[key]) == 41
+        # a shorter request reads the longer column, and a full solve
+        # neither reads nor writes the store
+        bounded_count(plane, 3, 20)
+        solve_protection_system(plane, 3, 50)
+        assert len(families._STORE[key]) == 41
+
+    def test_names_of_one_family_share_columns(self, monkeypatch):
+        monkeypatch.setattr(families, "_STORE", {})
+        binary, *others = (
+            make_builtin("binary"), make_builtin("complete-binary"),
+            make_polynomial([1, 0, 1]),
+        )
+        expected = [bounded_count(binary, h, 31) for h in (2, 30)]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a column that is already stored")
+
+        # h = 2 reads Y_{2,0}, h = 30 = n - 1 reads Y
+        monkeypatch.setattr(counting, "_solve_system_raw", no_solve)
+        monkeypatch.setattr(counting, "_make_composer", no_solve)
+        for f in others:
+            assert [bounded_count(f, h, 31) for h in (2, 30)] == expected
 
     def test_rejects_degenerate_arguments(self, plane):
         with pytest.raises(ValueError):
