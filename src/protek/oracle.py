@@ -2,19 +2,27 @@
 
 Every rooted ordered tree on n vertices corresponds to its preorder
 outdegree word (d_1, ..., d_n), a Lukasiewicz word: the partial sums of
-d_i - 1 stay nonnegative before the last step and end at -1.  Words are
-generated in lexicographic order with allowed outdegrees restricted to
-the support of the weight sequence, so zero-weight families prune early.
+d_i - 1 stay nonnegative before the last step and end at -1.  Allowed
+outdegrees are restricted to the support of the weight sequence, so
+zero-weight families prune early.
 
-The maximum protection number of each word is computed straight from the
-definition (a leaf is 0-protected, an inner vertex is one more than its
-least protected child): reading the word right to left, a leaf pushes 0
-and a vertex of outdegree d pops the protections of its d children and
-pushes one more than their minimum.  The weight prod_v w_{d(v)} depends
-only on the outdegree multiset, so words are counted in plain ints per
-class (maximum protection, sorted outdegrees) and each class costs one
-Fraction product at the end.  Nothing here uses the generating-function
-machinery, which makes this module an independent oracle for it.
+The oracle builds the words right to left, one vertex at a time, by a
+depth-first search on a single stack of child protections, and reads the
+maximum protection number straight from the definition (a leaf is
+0-protected, an inner vertex is one more than its least protected child):
+a leaf pushes 0, and a vertex of outdegree d pops the protections of its d
+children and pushes one more than their minimum.  Each step is undone on
+backtrack, so words that share a suffix share that suffix's stack.  The
+root is the last vertex placed and takes the whole stack.  A branch stops
+when d exceeds the stack or the vertices left can no longer reduce the
+stack to one tree.  The search keeps no memo over states: every tree is
+still visited and counted once.
+
+The weight prod_v w_{d(v)} depends only on the outdegree multiset, so
+trees are counted in plain ints per class (maximum protection, outdegree
+multiset) and each class costs one Fraction product at the end.  Nothing
+here uses the generating-function machinery, which makes this module an
+independent oracle for it.
 
 ``OrderedTree``, ``enumerate_trees`` and ``max_protection`` give the same
 definition on explicit trees.
@@ -31,7 +39,18 @@ from .counting import bounded_count
 from .errors import CapExceeded, InvalidArgument
 from .families import WeightFamily
 
-ENUMERATION_CAP = 12
+ENUMERATION_CAP = 13
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgument(f"{name} must be an int, got {value!r}")
+
+
+def _check_size(n) -> None:
+    _check_int("n", n)
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise CapExceeded(f"n = {n} outside the enumeration range 1..{ENUMERATION_CAP}")
 
 
 class OrderedTree:
@@ -95,12 +114,16 @@ def enumerate_trees(
 ) -> Iterator[OrderedTree]:
     """All ordered rooted trees on n vertices with outdegrees in the
     allowed set, each exactly once, in lexicographic word order."""
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise CapExceeded(f"n = {n} outside the enumeration range 1..{ENUMERATION_CAP}")
+    _check_size(n)
     if allowed_degrees is None:
         allowed = tuple(range(n))
     else:
-        allowed = tuple(sorted(set(allowed_degrees)))
+        degrees = set(allowed_degrees)
+        for d in degrees:
+            _check_int("an outdegree", d)
+            if d < 0:
+                raise InvalidArgument(f"outdegrees must be >= 0, got {d}")
+        allowed = tuple(sorted(degrees))
     for word in _words(n, allowed):
         yield _tree_from_word(word)
 
@@ -122,23 +145,6 @@ def max_protection(tree: OrderedTree) -> int:
     return best
 
 
-def _word_protection(word: Tuple[int, ...]) -> int:
-    """Maximum protection number of the tree with preorder outdegrees
-    ``word``, by one right-to-left pass with a stack of child protections."""
-    stack: List[int] = []
-    best = 0
-    for d in reversed(word):
-        if d == 0:
-            stack.append(0)
-            continue
-        p = 1 + min(stack[-d:])
-        del stack[-d:]
-        stack.append(p)
-        if p > best:
-            best = p
-    return best
-
-
 @dataclass(frozen=True)
 class OracleDistribution:
     """Total weight of n-vertex trees per maximum protection value."""
@@ -156,21 +162,66 @@ class OracleDistribution:
         )
 
 
+def _class_counts(n: int, allowed: Tuple[int, ...]) -> Counter:
+    """Number of n-vertex trees with outdegrees in ``allowed`` (ascending)
+    per class, visiting every tree.
+
+    A class is keyed by ``code * n + m``: m is the maximum protection, and
+    ``code`` holds the count of outdegree ``allowed[i]`` as digit i in radix
+    n + 1.  Words are built right to left on one stack of child protections,
+    so words that share a suffix share its stack.
+    """
+    place = {d: n * (n + 1) ** i for i, d in enumerate(allowed)}
+    if n == 1:
+        return Counter({place[0]: 1})  # one leaf; every family has w0 = 1
+    counts: Counter = Counter()
+    steps = tuple(place.items())
+    shrink = allowed[-1] - 1       # most one vertex can lower the stack size
+    stack = [0] * n                # stack[:s]: protections of s pending subtrees
+
+    def place_vertex(r: int, s: int, best: int, code: int) -> None:
+        # r >= 2 vertices are left to place; the last of them is the root
+        low = s - (r - 1) * shrink  # smaller outdegrees leave too many subtrees
+        for d, digit in steps:
+            if d > s:
+                break
+            if d < low:
+                continue
+            k = s - d
+            if d == 0:
+                p = 0
+            elif d == 1:
+                p = stack[k] + 1
+            else:
+                p = 1 + min(stack[k:s])
+            old = stack[k]
+            stack[k] = p
+            m = p if p > best else best
+            if r > 2:
+                place_vertex(r - 1, k + 1, m, code + digit)
+            elif k + 1 in place:
+                # the root, placed last, takes the whole stack
+                q = 1 + min(stack[: k + 1])
+                counts[code + digit + place[k + 1] + (q if q > m else m)] += 1
+            stack[k] = old
+
+    place_vertex(n, 0, 0, 0)
+    return counts
+
+
 def oracle_distribution(f: WeightFamily, n: int) -> OracleDistribution:
     """Aggregate the weight prod_v w_{d(v)} of every n-vertex tree by its
     maximum protection number, skipping zero-weight outdegrees upfront."""
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise CapExceeded(f"n = {n} outside the enumeration range 1..{ENUMERATION_CAP}")
+    _check_size(n)
     allowed = tuple(j for j in range(n) if f.weight(j) != 0)
-    wcache = {j: f.weight(j) for j in allowed}
-    counts = Counter(
-        (_word_protection(word), tuple(sorted(word))) for word in _words(n, allowed)
-    )
+    wcache = [f.weight(j) for j in allowed]
     weights: Dict[int, Fraction] = {}
-    for (m, degrees), count in counts.items():
+    for key, count in _class_counts(n, allowed).items():
+        code, m = divmod(key, n)
         weight = Fraction(count)
-        for d in degrees:
-            weight *= wcache[d]
+        for w in wcache:
+            code, c = divmod(code, n + 1)
+            weight *= w ** c
         weights[m] = weights.get(m, Fraction(0)) + weight
     return OracleDistribution(family=f.name, n=n, weights=weights)
 
@@ -201,6 +252,7 @@ class OracleReport:
 def oracle_check(f: WeightFamily, nmax: int) -> OracleReport:
     """Exact comparison of cumulative oracle weights against the solved
     series coefficients for every n <= nmax and every h <= n - 1."""
+    _check_int("nmax", nmax)
     if nmax < 1:
         raise InvalidArgument(f"nmax must be >= 1, got {nmax}")
     if nmax > ENUMERATION_CAP:

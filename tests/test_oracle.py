@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protek import (
+    ENUMERATION_CAP,
     CapExceeded,
     InvalidArgument,
     OrderedTree,
@@ -15,7 +18,7 @@ from protek import (
     solve_Y,
 )
 import protek.oracle as oracle_module
-from protek.oracle import _tree_from_word, _word_protection, _words
+from protek.oracle import _class_counts
 from conftest import catalan, complete_binary_tree, leaf, path_tree, tree_height
 
 
@@ -49,8 +52,9 @@ class TestEnumeration:
         assert a == b
 
     def test_cap(self):
+        assert ENUMERATION_CAP == 13
         with pytest.raises(CapExceeded):
-            list(enumerate_trees(13))
+            list(enumerate_trees(ENUMERATION_CAP + 1))
 
 
 def figure_tree() -> OrderedTree:
@@ -84,13 +88,12 @@ class TestMaxProtection:
         for t in enumerate_trees(7):
             assert max_protection(t) <= tree_height(t)
 
-    def test_word_stack_matches_definition(self):
-        # every plane tree up to ten vertices, by its outdegree word
+    def test_word_stack_matches_definition(self, plane):
+        # every plane tree up to ten vertices, one explicit tree at a time
         for n in range(1, 11):
-            for word in _words(n, tuple(range(n))):
-                assert _word_protection(word) == max_protection(
-                    _tree_from_word(word)
-                ), word
+            assert oracle_distribution(plane, n).weights == per_tree_distribution(
+                plane, n
+            )
 
 
 def per_tree_distribution(f, n):
@@ -130,7 +133,7 @@ class TestDistribution:
 
     def test_cap(self, plane):
         with pytest.raises(CapExceeded):
-            oracle_distribution(plane, 13)
+            oracle_distribution(plane, ENUMERATION_CAP + 1)
 
     @pytest.mark.parametrize(
         "family", ["plane", "cayley", "riordan", "1,1/2,1/3", "1,0,1/6,1/10"]
@@ -142,6 +145,67 @@ class TestDistribution:
             f = make_builtin(family)
         for n in range(1, 10):
             assert oracle_distribution(f, n).weights == per_tree_distribution(f, n)
+
+
+def cycle_lemma_count(support, n):
+    """(1/n) [z^(n-1)] (sum_{d in support} z^d)^n: the number of trees on n
+    vertices with outdegrees in ``support``."""
+    power = [1] + [0] * (n - 1)
+    for _ in range(n):
+        power = [sum(power[k - d] for d in support if d <= k) for k in range(n)]
+    return power[n - 1] // n
+
+
+@st.composite
+def finite_families(draw):
+    """(family, support): w0 = 1 and random positive weights on a random
+    support in 0..6 that has some degree >= 2."""
+    high = draw(st.sets(st.integers(2, 6), min_size=1))
+    w1 = draw(st.booleans())
+    top = max(high)
+    weight = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
+    ws = [Fraction(1)] + [
+        draw(weight) if d in high or (d == 1 and w1) else Fraction(0)
+        for d in range(1, top + 1)
+    ]
+    return make_polynomial(ws), {d for d, w in enumerate(ws) if w}
+
+
+class TestRightToLeftPass:
+    @settings(max_examples=30, deadline=None)
+    @given(finite_families(), st.integers(1, 9))
+    def test_matches_explicit_trees(self, family, n):
+        f, support = family
+        assert oracle_distribution(f, n).weights == per_tree_distribution(f, n)
+        allowed = tuple(sorted(d for d in support if d < n))
+        counted = sum(_class_counts(n, allowed).values())
+        assert counted == cycle_lemma_count(support, n)
+
+
+class TestBoundary:
+    def test_fractional_nmax(self, plane):
+        with pytest.raises(InvalidArgument):
+            oracle_check(plane, 2.5)
+
+    def test_bool_nmax(self, plane):
+        with pytest.raises(InvalidArgument):
+            oracle_check(plane, True)
+
+    def test_float_size(self, plane):
+        with pytest.raises(InvalidArgument):
+            oracle_distribution(plane, 3.0)
+
+    def test_fractional_degree(self):
+        with pytest.raises(InvalidArgument):
+            list(enumerate_trees(5, {0, 1.5}))
+
+    def test_string_degree(self):
+        with pytest.raises(InvalidArgument):
+            list(enumerate_trees(5, {0, 2, "x"}))
+
+    def test_negative_degree(self):
+        with pytest.raises(InvalidArgument):
+            list(enumerate_trees(5, {0, -1, 2}))
 
 
 class TestOracleCheck:
@@ -163,7 +227,7 @@ class TestOracleCheck:
 
     def test_cap(self, plane):
         with pytest.raises(CapExceeded):
-            oracle_check(plane, 13)
+            oracle_check(plane, ENUMERATION_CAP + 1)
 
     @pytest.mark.parametrize("nmax", [0, -5])
     def test_nmax_below_one_is_an_error(self, plane, nmax):
