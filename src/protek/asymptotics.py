@@ -31,11 +31,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import mpmath as mp
 
-from .errors import InvalidArgument, NoConvergence, NoTau, PeriodMismatch, WrongRegime
+from .errors import InvalidArgument, NoConvergence, NoTau, PeriodMismatch, WrongRegime, check_int
 from .families import WeightFamily, _memo, family_structure
 from .textfmt import fraction_to_mpf
 
 DEFAULT_PRECISION_BITS = 256
+MIN_PRECISION_BITS = 64
 _GUARD_BITS = 24
 
 
@@ -56,6 +57,7 @@ def solve_tau_rho(
     where H > 0 (H(t) -> +inf once some w_j > 0 at j >= 2).  If the scan
     finds no sign change, the family has no tau and NoTau is raised.
     """
+    check_int("precision_bits", precision_bits, MIN_PRECISION_BITS)
     with mp.workprec(precision_bits + _GUARD_BITS):
         def big_h(t):
             phi, dphi = f.phi_derivs(t, 1)
@@ -149,6 +151,7 @@ def eta_sequence(c: FamilyConstants, f: WeightFamily, kmax: int) -> List[mp.mpf]
     eta_k = rho*(Phi(eta_{k-1}) - 1); strictly decreasing to 0.  Every
     value is computed and stored at precision_bits + _GUARD_BITS.  lambda1,
     lambda2 and mu are limits along this same recursion (_etas)."""
+    check_int("kmax", kmax, 0)
     with mp.workprec(c.precision_bits + _GUARD_BITS):
         return [c.tau] + list(itertools.islice(_etas(f, c.rho, c.tau), kmax))
 
@@ -258,6 +261,7 @@ def family_constants(
     limits of the eta recursion differ between the two.  Families with the
     same weights share one stored result; each caller's copy carries its
     own family name."""
+    check_int("precision_bits", precision_bits, MIN_PRECISION_BITS)
 
     def compute() -> FamilyConstants:
         struct = family_structure(f)
@@ -500,8 +504,8 @@ def solve_rho_h(
     converges for h >= 2 on all builtin families.  Newton stops once every
     residual is below 2^(-precision_bits/2), after at most 120 steps.
     """
-    if h < 2:
-        raise InvalidArgument("h must be >= 2")
+    check_int("h", h, 2)
+    check_int("precision_bits", precision_bits, MIN_PRECISION_BITS)
     with mp.workprec(precision_bits + _GUARD_BITS):
         c = family_constants(f, precision_bits)
         rho = c.rho

@@ -20,6 +20,7 @@ import mpmath as mp
 
 from .asymptotics import (
     DEFAULT_PRECISION_BITS,
+    MIN_PRECISION_BITS,
     cdf_asymptotic,
     expectation_asymptotic,
     family_constants,
@@ -346,7 +347,7 @@ def _add_family_args(p):
 def _add_common_args(p, table=True):
     # argparse applies ``type`` to a string default, so $PROTEK_PREC is
     # validated exactly like --prec.
-    p.add_argument("--prec", type=_int_at_least(64),
+    p.add_argument("--prec", type=_int_at_least(MIN_PRECISION_BITS),
                    default=os.environ.get("PROTEK_PREC") or str(DEFAULT_PRECISION_BITS),
                    help="working precision in bits, >= 64 "
                    "(default 256 or $PROTEK_PREC)")

@@ -44,6 +44,10 @@ composition of the series module through
 The scaled columns of Y and of each Y_{h,0} are kept in the one results
 store of the families module; a stored column serves every order below
 its length, and a longer request replaces it.
+
+Sizes n >= 1, orders >= 1, levels h >= 0 (h >= 1 for the full system) and
+hmax >= 0 are checked by :func:`errors.check_int`: a bool, a non-int or a
+value below its bound raises InvalidArgument.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from math import factorial, lcm
 from operator import add, mul
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import InvalidArgument, PeriodMismatch
+from .errors import PeriodMismatch, check_int
 from .families import WeightFamily, _memo
 from .series import TruncatedSeries, compose_phi
 
@@ -112,13 +116,6 @@ class _RationalComposer:
         while len(g) <= m:
             mm = len(g)
             v = self.v = _valuation(arg, self.v, mm)
-            if v > mm:  # S = O(x^(mm+1)), so every term at x^mm vanishes
-                for power in powers[1:]:
-                    power.append(0)
-                g.append(0)
-                if out is not g:
-                    out.append(0)
-                continue
             # extend each power to index mm in ascending degree
             for k in range(1, len(powers)):
                 prev = powers[k - 1]  # S^k, valuation k*v
@@ -249,8 +246,7 @@ def solve_Y(f: WeightFamily, order: int) -> TruncatedSeries:
 
     Plane trees at order 5 give the Catalan numbers 0, 1, 1, 2, 5, 14.
     """
-    if order < 1:
-        raise InvalidArgument("order must be >= 1")
+    check_int("order", order, 1)
     return _unscaled(f, _y_coefficients(f, order)[: order + 1])
 
 
@@ -290,10 +286,8 @@ class ProtectionSeriesSet:
 
 def solve_protection_system(f: WeightFamily, h: int, order: int) -> ProtectionSeriesSet:
     """Solve the bounded-protection system through ``order`` for fixed h >= 1."""
-    if h < 1:
-        raise InvalidArgument("h must be >= 1 (h = 0 is handled by definition)")
-    if order < 1:
-        raise InvalidArgument("order must be >= 1")
+    check_int("h", h, 1)
+    check_int("order", order, 1)
     ys = _solve_system_raw(f, h, order)
     return ProtectionSeriesSet(
         family=f,
@@ -309,10 +303,8 @@ def bounded_count(f: WeightFamily, h: int, n: int) -> Fraction:
     h = 0 admits only the single-vertex tree; h >= n-1 admits every tree
     of size n, so the value coincides with [x^n] Y there.
     """
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    if h < 0:
-        raise InvalidArgument("h must be >= 0")
+    check_int("n", n, 1)
+    check_int("h", h, 0)
     return Fraction(_scaled_count(f, h, n), _scale(f, n))
 
 
@@ -368,6 +360,7 @@ def default_hmax(f: WeightFamily, n: int) -> int:
 
     from .asymptotics import family_constants
 
+    check_int("n", n, 1)
     c = family_constants(f)
     ln_ratio = mp.log(max(n, 2)) / mp.log(c.d)
     if c.regime == "exponential":
@@ -377,11 +370,12 @@ def default_hmax(f: WeightFamily, n: int) -> int:
 
 def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
     """Exact CDF rows (h, y_{h,n}/y_n) for h = 0 .. min(hmax, n-1)."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
+    check_int("n", n, 1)
     yn = Fraction(_check_period(f, n), _scale(f, n))
     if hmax is None:
         hmax = default_hmax(f, n)
+    else:
+        check_int("hmax", hmax, 0)
     rows = []
     for h in range(0, min(hmax, n - 1) + 1):
         p = bounded_count(f, h, n) / yn
@@ -396,15 +390,12 @@ def expectation_exact(f: WeightFamily, n: int) -> Fraction:
     P = 1 from h = n-1 on, and stops early as soon as the exact counts
     agree (they are nondecreasing in h and capped by y_n).
     """
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
+    check_int("n", n, 1)
     yn = _check_period(f, n)
-    if n == 1:
-        return Fraction(0)
     deficit_total = 0
     for h in range(0, n - 1):
         gap = yn - _scaled_count(f, h, n)
-        if h > 0 and gap == 0:
+        if gap == 0:
             break
         deficit_total = deficit_total + gap
     return Fraction(deficit_total, yn)

@@ -9,6 +9,14 @@ class InvalidArgument(ProtekError, ValueError):
     """An argument is outside the range the operation is defined on."""
 
 
+def check_int(name: str, value, lo: int) -> None:
+    """Raise InvalidArgument unless ``value`` is an int (not a bool) >= lo."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgument(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        raise InvalidArgument(f"{name} must be >= {lo}")
+
+
 class OrderMismatch(ProtekError):
     """Two series with different truncation orders were combined."""
 

@@ -71,10 +71,7 @@ def family_structure(f: WeightFamily) -> FamilyStructure:
     support = sorted(j for j in f.support_hint if j > 0 and f.weight(j) != 0)
     w1_zero = f.weight(1) == 0
     r = next(j for j in support if j >= 2)
-    d = 0
-    for j in support:
-        d = math.gcd(d, j)
-    return FamilyStructure(w1_zero, r, d)
+    return FamilyStructure(w1_zero, r, math.gcd(*support))
 
 
 def _to_fraction(value: WeightLike, index: int) -> Fraction:

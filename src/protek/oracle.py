@@ -26,6 +26,10 @@ independent oracle for it.
 
 ``OrderedTree``, ``enumerate_trees`` and ``max_protection`` give the same
 definition on explicit trees.
+
+Sizes are ints from 1 to ENUMERATION_CAP: a bool, a non-int or a size
+below 1 raises InvalidArgument, and a size above the cap CapExceeded.
+Every check runs at the call, ``enumerate_trees`` included.
 """
 
 from __future__ import annotations
@@ -36,21 +40,16 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .counting import bounded_count
-from .errors import CapExceeded, InvalidArgument
+from .errors import CapExceeded, check_int
 from .families import WeightFamily
 
 ENUMERATION_CAP = 13
 
 
-def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidArgument(f"{name} must be an int, got {value!r}")
-
-
-def _check_size(n) -> None:
-    _check_int("n", n)
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise CapExceeded(f"n = {n} outside the enumeration range 1..{ENUMERATION_CAP}")
+def _check_size(name: str, n) -> None:
+    check_int(name, n, 1)
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"{name} = {n} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 class OrderedTree:
@@ -113,19 +112,18 @@ def enumerate_trees(
     n: int, allowed_degrees: Optional[Iterable[int]] = None
 ) -> Iterator[OrderedTree]:
     """All ordered rooted trees on n vertices with outdegrees in the
-    allowed set, each exactly once, in lexicographic word order."""
-    _check_size(n)
+    allowed set, each exactly once, in lexicographic word order.
+
+    The arguments are checked at the call; the trees are built lazily."""
+    _check_size("n", n)
     if allowed_degrees is None:
         allowed = tuple(range(n))
     else:
         degrees = set(allowed_degrees)
         for d in degrees:
-            _check_int("an outdegree", d)
-            if d < 0:
-                raise InvalidArgument(f"outdegrees must be >= 0, got {d}")
+            check_int("an outdegree", d, 0)
         allowed = tuple(sorted(degrees))
-    for word in _words(n, allowed):
-        yield _tree_from_word(word)
+    return map(_tree_from_word, _words(n, allowed))
 
 
 def max_protection(tree: OrderedTree) -> int:
@@ -212,7 +210,7 @@ def _class_counts(n: int, allowed: Tuple[int, ...]) -> Counter:
 def oracle_distribution(f: WeightFamily, n: int) -> OracleDistribution:
     """Aggregate the weight prod_v w_{d(v)} of every n-vertex tree by its
     maximum protection number, skipping zero-weight outdegrees upfront."""
-    _check_size(n)
+    _check_size("n", n)
     allowed = tuple(j for j in range(n) if f.weight(j) != 0)
     wcache = [f.weight(j) for j in allowed]
     weights: Dict[int, Fraction] = {}
@@ -252,11 +250,7 @@ class OracleReport:
 def oracle_check(f: WeightFamily, nmax: int) -> OracleReport:
     """Exact comparison of cumulative oracle weights against the solved
     series coefficients for every n <= nmax and every h <= n - 1."""
-    _check_int("nmax", nmax)
-    if nmax < 1:
-        raise InvalidArgument(f"nmax must be >= 1, got {nmax}")
-    if nmax > ENUMERATION_CAP:
-        raise CapExceeded(f"nmax = {nmax} exceeds the enumeration cap {ENUMERATION_CAP}")
+    _check_size("nmax", nmax)
     rows = []
     all_ok = True
     for n in range(1, nmax + 1):

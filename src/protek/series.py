@@ -20,7 +20,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
-from .errors import InvalidArgument, OrderMismatch, ValuationError
+from .errors import InvalidArgument, OrderMismatch, ValuationError, check_int
 
 Coefficient = Union[int, Fraction]
 PhiCoeffs = Union[Sequence[Coefficient], Callable[[int], Coefficient]]
@@ -66,8 +66,7 @@ class TruncatedSeries:
     @classmethod
     def x(cls, order: int) -> "TruncatedSeries":
         """The series x, truncated at ``order`` (which must be >= 1)."""
-        if order < 1:
-            raise InvalidArgument("order must be >= 1 to represent x")
+        check_int("order", order, 1)
         return cls([0, 1] + [0] * (order - 1))
 
     # -- accessors ---------------------------------------------------

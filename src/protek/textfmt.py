@@ -15,12 +15,11 @@ SIGNIFICANT_DIGITS = 17
 
 def _floor_log10(q: Fraction) -> int:
     n, d = q.numerator, q.denominator
+    # q lies in [10^(e-1), 10^(e+1)), so e is floor(log10(q)) or one more
     e = len(str(n)) - len(str(d))
     ten = Fraction(10)
     while ten**e > q:
         e -= 1
-    while ten ** (e + 1) <= q:
-        e += 1
     return e
 
 
@@ -30,8 +29,6 @@ def rational_to_decimal(q: Fraction) -> str:
     Rounds half to even; exact integers render without a fraction part,
     and magnitudes below 1e-4 switch to scientific notation.
     """
-    if q == 0:
-        return "0"
     sign = "-" if q < 0 else ""
     q = abs(q)
     if q.denominator == 1:

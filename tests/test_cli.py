@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from protek import asymptotics, counting, families
+from protek import NoConvergence, asymptotics, cli, counting, families, oracle
 from protek.cli import FIGURE_PANELS, main
 
 
@@ -43,6 +43,12 @@ class TestConstantsCommand:
         code, _, err = run_cli(capsys, "constants", "--weights", "1,1")
         assert code == 1
         assert "j >= 2" in err
+
+    def test_weight_that_is_not_a_rational(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--weights", "1,x")
+        assert code == 1
+        assert out == ""
+        assert err == "error: weight w1 is not a rational: 'x'\n"
 
     def test_missing_family(self, capsys):
         code, _, err = run_cli(capsys, "constants")
@@ -227,6 +233,20 @@ class TestOracleCommand:
         assert payload["all_passed"] is True
         assert payload["rows"] and all(row["match"] is True for row in payload["rows"])
 
+    def test_mismatch_exits_one(self, capsys, monkeypatch):
+        exact = oracle.bounded_count
+
+        def off_at_5_2(f, h, n):
+            value = exact(f, h, n)
+            return value + 1 if (n, h) == (5, 2) else value
+
+        monkeypatch.setattr(oracle, "bounded_count", off_at_5_2)
+        code, out, err = run_cli(capsys, "oracle", "--family", "plane", "--nmax", "6")
+        assert code == 1
+        assert out.startswith("n,h,oracle,series,match\n")
+        assert "5,2,12/1,13/1,FAIL" in out.splitlines()
+        assert err == "oracle mismatch at n=5, h=2: oracle=12, series=13\n"
+
 
 class TestRhohCommand:
     def test_plane_ratios_near_one(self, capsys):
@@ -238,6 +258,23 @@ class TestRhohCommand:
         for line in out.strip().splitlines()[1:]:
             ratio = float(line.split(",")[4])
             assert 0.9 < ratio < 1.1
+
+    def test_no_convergence_row_exits_one(self, capsys, monkeypatch):
+        solve = cli.solve_rho_h
+
+        def fails_at_3(f, h, prec):
+            if h == 3:
+                raise NoConvergence("forced", None)
+            return solve(f, h, prec)
+
+        monkeypatch.setattr(cli, "solve_rho_h", fails_at_3)
+        code, out, _ = run_cli(
+            capsys, "rhoh", "--family", "plane", "--h-from", "2", "--h-to", "4"
+        )
+        assert code == 1
+        statuses = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        assert statuses == ["ok", "no-convergence", "ok"]
+        assert out.splitlines()[2].startswith("3,,,")
 
     def test_h_below_two_is_an_error(self, capsys):
         code, out, err = run_cli(

@@ -207,6 +207,15 @@ class TestBoundary:
         with pytest.raises(InvalidArgument):
             list(enumerate_trees(5, {0, -1, 2}))
 
+    # enumerate_trees checks its arguments at the call, before any tree is built
+    def test_cap_at_the_call(self):
+        with pytest.raises(CapExceeded):
+            enumerate_trees(ENUMERATION_CAP + 1)
+
+    def test_negative_degree_at_the_call(self):
+        with pytest.raises(InvalidArgument):
+            enumerate_trees(5, {0, -1})
+
 
 class TestOracleCheck:
     @pytest.mark.parametrize("name", ["plane", "riordan", "cayley"])
