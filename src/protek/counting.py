@@ -18,7 +18,8 @@ repeated full sweeps converge to.  Composition with Phi is streamed by
 one of two recurrences, one for every rational Phi = R + P/Q and one for
 e^t, keeping one solve at O(h * N^2) coefficient operations.
 
-Two windows cut that work without changing a coefficient:
+Two windows cut that work, and a split of the levels cuts its wall time,
+without changing a coefficient:
 
 * Upper window.  Counting needs only Y_{h,0}.  Column k feeds column
   k + 1 one order later, and column h feeds column 1, so for Y_{h,0}
@@ -31,6 +32,16 @@ Two windows cut that work without changing a coefficient:
   convolution at index v, and S^j, which has valuation j*v, starts at
   j*v.  Column k >= 1 has valuation at least k + 1, and in the
   double-exponential regime far more.
+* Level split.  The levels h of one CDF or expectation share nothing but
+  Y, so :func:`cdf_exact` and :func:`expectation_exact` first solve the
+  levels missing from the store on every CPU of the process's affinity
+  mask (:mod:`protek._split`): the parent forks one short-lived child per
+  extra CPU, each child solves its share of the levels and sends its
+  Y_{h,0} columns back over a pipe as marshal bytes, and the parent
+  stores them as if it had solved them itself.  The solves stay in the
+  calling process when os.fork is missing, when one CPU is available
+  (``taskset -c 0``), when another thread is alive, or when the missing
+  levels are too little work to pay for a fork.
 
 All solver arithmetic is on plain integers: the coefficient of x^n is
 held as s_n * [x^n], with s_n = L^n for a rational Phi = R + P/Q whose
@@ -59,7 +70,7 @@ from operator import add, mul
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import PeriodMismatch, check_int
-from .families import WeightFamily, _memo
+from .families import WeightFamily, _memo, family_structure
 from .series import TruncatedSeries, compose_phi
 
 
@@ -210,6 +221,11 @@ def _y_coefficients(f: WeightFamily, order: int) -> list:
     return _memo(f, ("Y",), solve, order)
 
 
+def _windows(h: int, order: int, y0_only: bool) -> List[int]:
+    """Last order through which each column Y_{h,k} of a solve runs."""
+    return [order - 1 - h + k if y0_only and k >= 2 else order for k in range(h + 1)]
+
+
 def _solve_system_raw(
     f: WeightFamily, h: int, order: int, y0_only: bool = False
 ) -> List[list]:
@@ -222,7 +238,7 @@ def _solve_system_raw(
     unit = _scale(f, 1)
     ys = [[0] for _ in range(h + 1)]
     comps = [_make_composer(f, ys[k]) for k in range(h + 1)]
-    last = [order - 1 - h + k if y0_only and k >= 2 else order for k in range(h + 1)]
+    last = _windows(h, order, y0_only)
     for n in range(1, order + 1):
         m = n - 1
         top = comps[h].coeff(m)
@@ -239,6 +255,21 @@ def _y0_coefficients(f: WeightFamily, h: int, order: int) -> list:
     return _memo(
         f, ("Y0", h), lambda: _solve_system_raw(f, h, order, y0_only=True)[0], order
     )
+
+
+def _protection_bound(f: WeightFamily, n: int) -> int:
+    """Largest protection number a tree of size n can have.
+
+    A p-protected vertex has at least s children, s the smallest positive
+    outdegree of nonzero weight, each of them (p-1)-protected, so its
+    subtree has at least m_p vertices: m_0 = 1, m_p = s*m_(p-1) + 1.
+    """
+    structure = family_structure(f)
+    s = structure.r if structure.w1_zero else 1
+    p, m = 0, 1
+    while s * m + 1 <= n:
+        p, m = p + 1, s * m + 1
+    return p
 
 
 def solve_Y(f: WeightFamily, order: int) -> TruncatedSeries:
@@ -376,6 +407,9 @@ def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
         hmax = default_hmax(f, n)
     else:
         check_int("hmax", hmax, 0)
+    from ._split import _prefetch_y0
+
+    _prefetch_y0(f, range(1, min(hmax, n - 2) + 1), n)
     rows = []
     for h in range(0, min(hmax, n - 1) + 1):
         p = bounded_count(f, h, n) / yn
@@ -392,6 +426,11 @@ def expectation_exact(f: WeightFamily, n: int) -> Fraction:
     """
     check_int("n", n, 1)
     yn = _check_period(f, n)
+    from ._split import _prefetch_y0
+
+    # levels from n - 1 on read Y, and the loop below stops at the first
+    # level no tree of size n exceeds
+    _prefetch_y0(f, range(1, min(_protection_bound(f, n), n - 2) + 1), n)
     deficit_total = 0
     for h in range(0, n - 1):
         gap = yn - _scaled_count(f, h, n)

@@ -241,11 +241,18 @@ def make_polynomial(
 _STORE: dict = {}
 
 
-def _memo(f: WeightFamily, key: tuple, compute: Callable, order: Optional[int] = None):
-    """_STORE[(f.cache_key, *key)], first set to compute() when it is missing
-    or, given ``order``, when the stored column stops below that order."""
-    full_key = (f.cache_key, *key)
-    hit = _STORE.get(full_key)
+def _stored(f: WeightFamily, key: tuple, order: Optional[int] = None):
+    """_STORE[(f.cache_key, *key)], or None when it is missing or, given
+    ``order``, when the stored column stops below that order."""
+    hit = _STORE.get((f.cache_key, *key))
     if hit is None or (order is not None and len(hit) <= order):
-        hit = _STORE[full_key] = compute()
+        return None
+    return hit
+
+
+def _memo(f: WeightFamily, key: tuple, compute: Callable, order: Optional[int] = None):
+    """_stored(f, key, order), first set to compute() when that is None."""
+    hit = _stored(f, key, order)
+    if hit is None:
+        hit = _STORE[(f.cache_key, *key)] = compute()
     return hit

@@ -57,10 +57,12 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
+        check_int("order", order, 0)
         return cls([0] * (order + 1))
 
     @classmethod
     def constant(cls, value: Coefficient, order: int) -> "TruncatedSeries":
+        check_int("order", order, 0)
         return cls([value] + [0] * order)
 
     @classmethod
@@ -141,6 +143,7 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop coefficients above ``order`` (must not exceed self.order)."""
+        check_int("order", order, 0)
         if order > self.order:
             raise OrderMismatch(
                 f"cannot extend a series truncated at {self.order} to {order}"

@@ -395,6 +395,29 @@ class TestRhoH:
         with pytest.raises(ValueError):
             solve_rho_h(plane, 1, 128)
 
+    @pytest.mark.parametrize(
+        "name, h, order",
+        [("plane", h, 300) for h in (2, 3, 4, 6)]
+        + [("pruned-binary", h, 300) for h in (2, 4)]
+        + [("cayley", h, 200) for h in (2, 3, 5)],
+    )
+    def test_matches_the_coefficient_ratios(self, name, h, order):
+        # rho_h is the dominant singularity of Y_{h,0}, so y_{h,n}/y_{h,n-1}
+        # tends to 1/rho_h; the polynomial in 1/n through the ratios at
+        # n = order-6 .. order, taken at 1/n = 0, extrapolates the limit
+        f = make_builtin(name)
+        ys = {n: bounded_count(f, h, n) for n in range(order, order - 8, -1)}
+        ts = [Fraction(1, n) for n in range(order - 6, order + 1)]
+        ps = [ys[n] / ys[n - 1] for n in range(order - 6, order + 1)]
+        for k in range(1, len(ps)):
+            ps = [
+                (ts[i + k] * ps[i] - ts[i] * ps[i + 1]) / (ts[i + k] - ts[i])
+                for i in range(len(ps) - 1)
+            ]
+        rho_h = solve_rho_h(f, h).rho_h
+        with mp.workprec(256):
+            assert abs(fraction_to_mpf(ps[0]) * rho_h - 1) < mp.mpf("1e-12")
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_newton_iterations_are_few(self, name):
         f = make_builtin(name)

@@ -32,6 +32,9 @@ PLANE = make_builtin("plane")
 # (id, call taking the argument under test, lowest valid value)
 ENTRY_POINTS = [
     ("TruncatedSeries.x order", lambda v: TruncatedSeries.x(v), 1),
+    ("TruncatedSeries.zero order", lambda v: TruncatedSeries.zero(v), 0),
+    ("TruncatedSeries.constant order", lambda v: TruncatedSeries.constant(1, v), 0),
+    ("TruncatedSeries.truncate order", lambda v: TruncatedSeries.x(3).truncate(v), 0),
     ("solve_Y order", lambda v: solve_Y(PLANE, v), 1),
     ("solve_protection_system h", lambda v: solve_protection_system(PLANE, v, 5), 1),
     ("solve_protection_system order", lambda v: solve_protection_system(PLANE, 2, v), 1),

@@ -1,3 +1,5 @@
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protek import (
+    InvalidWeights,
     PeriodMismatch,
     TruncatedSeries,
     bounded_count,
@@ -16,7 +19,7 @@ from protek import (
     solve_Y,
     solve_protection_system,
 )
-from protek import counting, families
+from protek import _split, counting, families
 from protek.series import compose_phi
 from conftest import catalan
 
@@ -222,3 +225,170 @@ class TestExpectation:
             expectation_exact(complete_binary, 6)
         with pytest.raises(PeriodMismatch, match="size 2"):
             expectation_exact(make_polynomial(["1", "0", "1/6", "1/10"]), 2)
+
+
+# ---------------------------------------------------------------------------
+# level solves shared among forked children
+# ---------------------------------------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_on(monkeypatch, cpus):
+    """Split every prefetch among ``cpus`` shares; returns the list that
+    records the levels of each forked child."""
+    forked = []
+    fork_solver = _split._fork_solver
+
+    def recording(f, levels, order):
+        forked.append(list(levels))
+        return fork_solver(f, levels, order)
+
+    monkeypatch.setattr(families, "_STORE", {})
+    monkeypatch.setattr(_split, "_SPLIT_WORK_FLOOR", 0)
+    monkeypatch.setattr(_split, "_cpus", lambda: cpus)
+    monkeypatch.setattr(_split, "_fork_solver", recording)
+    return forked
+
+
+def stored_y0(f):
+    return {
+        key[2]: column
+        for key, column in families._STORE.items()
+        if key[:2] == (f.cache_key, "Y0")
+    }
+
+
+def serial_y0(f, levels, order):
+    return {h: counting._solve_system_raw(f, h, order, y0_only=True)[0] for h in levels}
+
+
+class FailingSolve(InvalidWeights):
+    pass
+
+
+class TestSplitLevels:
+    @pytest.mark.parametrize("cpus", (2, 3))
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_cdf_columns_match_serial(self, name, cpus, monkeypatch):
+        f = make_builtin(name)
+        forked = split_on(monkeypatch, cpus)
+        table = cdf_exact(f, 31, hmax=30)
+        assert_no_child_left()
+        assert len(forked) == cpus - 1
+        assert stored_y0(f) == serial_y0(f, range(1, 30), 31)
+        yn = solve_Y(f, 31)[31]
+        assert [r.p_exact for r in table] == [bounded_count(f, h, 31) / yn for h in range(31)]
+
+    @pytest.mark.parametrize("cpus", (2, 3))
+    def test_expectation_matches_serial(self, plane, riordan, cpus, monkeypatch):
+        expected = [expectation_exact(f, 24) for f in (plane, riordan)]
+        split_on(monkeypatch, cpus)
+        assert [expectation_exact(f, 24) for f in (plane, riordan)] == expected
+        assert_no_child_left()
+
+    @settings(max_examples=25, deadline=None)
+    @given(f=weight_families(), order=st.integers(3, 24), cpus=st.sampled_from((2, 3)))
+    def test_columns_match_serial(self, f, order, cpus):
+        levels = range(1, order - 1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            forked = split_on(monkeypatch, cpus)
+            _split._prefetch_y0(f, levels, order)
+            assert_no_child_left()
+            # a single level stays with the caller, which solves it on reading
+            assert len(forked) == min(cpus, len(levels)) - 1
+            assert stored_y0(f) == (serial_y0(f, levels, order) if forked else {})
+
+    def test_failed_child_is_solved_by_the_parent(self, plane, monkeypatch):
+        parent = os.getpid()
+        solve = counting._solve_system_raw
+
+        def child_fails(f, h, order, y0_only=False):
+            if os.getpid() != parent:
+                raise FailingSolve("child")
+            return solve(f, h, order, y0_only)
+
+        forked = split_on(monkeypatch, 3)
+        monkeypatch.setattr(counting, "_solve_system_raw", child_fails)
+        _split._prefetch_y0(plane, range(1, 20), 30)
+        assert_no_child_left()
+        assert len(forked) == 2
+        assert stored_y0(plane) == serial_y0(plane, range(1, 20), 30)
+
+    def test_error_of_a_child_level_is_raised_typed(self, plane, monkeypatch):
+        solve = counting._solve_system_raw
+        forked = split_on(monkeypatch, 2)
+        _, theirs = _split._deal({h: _split._y0_work(h, 30) for h in range(1, 20)}, 2)
+
+        def level_fails(f, h, order, y0_only=False):
+            if h == theirs[0]:
+                raise FailingSolve(f"level {h}")
+            return solve(f, h, order, y0_only)
+
+        monkeypatch.setattr(counting, "_solve_system_raw", level_fails)
+        with pytest.raises(FailingSolve, match=f"level {theirs[0]}"):
+            cdf_exact(plane, 30, hmax=19)
+        assert_no_child_left()
+        assert forked == [theirs]
+
+    @pytest.mark.parametrize("error", (FailingSolve, KeyboardInterrupt))
+    def test_parent_error_kills_and_reaps_children(self, plane, error, monkeypatch):
+        parent = os.getpid()
+        solve = counting._solve_system_raw
+
+        def parent_fails(f, h, order, y0_only=False):
+            if os.getpid() == parent:
+                raise error("parent")
+            return solve(f, h, order, y0_only)
+
+        forked = split_on(monkeypatch, 3)
+        monkeypatch.setattr(counting, "_solve_system_raw", parent_fails)
+        with pytest.raises(error):
+            expectation_exact(plane, 60)
+        assert_no_child_left()
+        assert len(forked) == 2
+
+    def test_serial_while_another_thread_is_alive(self, plane, monkeypatch):
+        forked = split_on(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            table = cdf_exact(plane, 30)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forked == []
+        assert stored_y0(plane) == serial_y0(plane, range(1, len(table.rows)), 30)
+
+    def test_serial_without_fork_or_a_second_cpu(self, plane, monkeypatch):
+        forked = split_on(monkeypatch, 1)
+        cdf_exact(plane, 30)
+        monkeypatch.setattr(_split, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        expectation_exact(plane, 30)
+        assert forked == []
+
+    def test_small_work_stays_serial(self, plane, monkeypatch):
+        forked = split_on(monkeypatch, 2)
+        monkeypatch.setattr(_split, "_SPLIT_WORK_FLOOR", 10**9)
+        cdf_exact(plane, 40)
+        assert forked == []
+
+    def test_levels_are_dealt_by_cost(self):
+        work = {1: 5, 2: 4, 3: 3, 4: 3, 5: 1}
+        assert _split._deal(work, 2) == [[1, 4], [2, 3, 5]]
+        assert _split._deal(work, 3) == [[1], [2, 5], [3, 4]]
+
+    @pytest.mark.parametrize("name", BUILTINS + ("1,1/2,1/3", "1,0,1/6,1/10", "1,0,0,1"))
+    def test_protection_bound_covers_every_tree(self, name):
+        f = make_polynomial(name.split(",")) if "," in name else make_builtin(name)
+        for n in range(1, 14):
+            largest = max(
+                (m for m, w in oracle_distribution(f, n).weights.items() if w), default=0
+            )
+            assert counting._protection_bound(f, n) >= largest
