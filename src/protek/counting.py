@@ -8,8 +8,8 @@ the joint system
 
 whose k = 0 member generates the trees in which no vertex is more than
 h-protected.  The exact CDF is the coefficient quotient
-P(X_n <= h) = [x^n] Y_{h,0} / [x^n] Y, and the exact expectation follows
-from the tail sum over h.
+P(X_n <= h) = [x^n] Y_{h,0} / [x^n] Y, and the exact expectation is
+the tail sum of that CDF, sum_h (1 - P(X_n <= h)).
 
 The solver propagates coefficients order by order: the x-factor in every
 equation makes the coefficient of x^n depend only on coefficients of
@@ -32,16 +32,14 @@ without changing a coefficient:
   convolution at index v, and S^j, which has valuation j*v, starts at
   j*v.  Column k >= 1 has valuation at least k + 1, and in the
   double-exponential regime far more.
-* Level split.  The levels h of one CDF or expectation share nothing but
-  Y, so :func:`cdf_exact` and :func:`expectation_exact` first solve the
-  levels missing from the store on every CPU of the process's affinity
-  mask (:mod:`protek._split`): the parent forks one short-lived child per
-  extra CPU, each child solves its share of the levels and sends its
-  Y_{h,0} columns back over a pipe as marshal bytes, and the parent
-  stores them as if it had solved them itself.  The solves stay in the
-  calling process when os.fork is missing, when one CPU is available
-  (``taskset -c 0``), when another thread is alive, or when the missing
-  levels are too little work to pay for a fork.
+* Level split.  The levels h of one CDF share nothing but Y, so
+  :func:`cdf_exact` first solves the levels missing from the store with
+  :func:`protek._split._fork_map`, which runs them on every CPU of the
+  process's affinity mask, and stores every Y_{h,0} column before it
+  reads a row.  The map stays in the calling process when os.fork is
+  missing, when one CPU is available (``taskset -c 0``), when another
+  thread is alive, or when the missing levels are too little work to pay
+  for a fork.
 
 All solver arithmetic is on plain integers: the coefficient of x^n is
 held as s_n * [x^n], with s_n = L^n for a rational Phi = R + P/Q whose
@@ -67,10 +65,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import add, mul
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
+import mpmath as mp
+
+from .asymptotics import family_constants
 from .errors import PeriodMismatch, check_int
-from .families import WeightFamily, _memo, family_structure
+from .families import WeightFamily, _memo, _stored, family_structure
 from .series import TruncatedSeries, compose_phi
 
 
@@ -226,6 +227,12 @@ def _windows(h: int, order: int, y0_only: bool) -> List[int]:
     return [order - 1 - h + k if y0_only and k >= 2 else order for k in range(h + 1)]
 
 
+def _y0_work(h: int, order: int) -> int:
+    """Estimated cost of the windowed Y_{h,0} solve through ``order``: the
+    sum of the squared column lengths, each composer's convolution work."""
+    return sum(last * last for last in _windows(h, order, True))
+
+
 def _solve_system_raw(
     f: WeightFamily, h: int, order: int, y0_only: bool = False
 ) -> List[list]:
@@ -255,6 +262,17 @@ def _y0_coefficients(f: WeightFamily, h: int, order: int) -> list:
     return _memo(
         f, ("Y0", h), lambda: _solve_system_raw(f, h, order, y0_only=True)[0], order
     )
+
+
+def _prefetch_y0(f: WeightFamily, hs: Iterable[int], order: int) -> None:
+    """Store Y_{h,0} through ``order`` for every level h in ``hs`` that the
+    store lacks, solved on every CPU of the process (see _fork_map)."""
+    from ._split import _fork_map
+
+    work = {h: _y0_work(h, order) for h in hs if _stored(f, ("Y0", h), order) is None}
+    columns = _fork_map(lambda h: _solve_system_raw(f, h, order, y0_only=True)[0], work)
+    for h, column in columns.items():
+        _memo(f, ("Y0", h), lambda column=column: column, order)
 
 
 def _protection_bound(f: WeightFamily, n: int) -> int:
@@ -336,15 +354,11 @@ def bounded_count(f: WeightFamily, h: int, n: int) -> Fraction:
     """
     check_int("n", n, 1)
     check_int("h", h, 0)
-    return Fraction(_scaled_count(f, h, n), _scale(f, n))
-
-
-def _scaled_count(f: WeightFamily, h: int, n: int) -> int:
     if h >= n - 1:
-        return _y_coefficients(f, n)[n]
-    if h == 0:
-        return 0
-    return _y0_coefficients(f, h, n)[n]
+        count = _y_coefficients(f, n)[n]
+    else:
+        count = _y0_coefficients(f, h, n)[n] if h else 0
+    return Fraction(count, _scale(f, n))
 
 
 class CdfRow(NamedTuple):
@@ -371,14 +385,6 @@ class CdfTable:
         raise KeyError(f"no row for h = {h}")
 
 
-def _check_period(f: WeightFamily, n: int) -> int:
-    """Scaled total weight y_n; PeriodMismatch when no tree has size n."""
-    yn = _y_coefficients(f, n)[n]
-    if yn == 0:
-        raise PeriodMismatch(f"{f.name}: no trees of size {n} exist (y_{n} = 0)")
-    return yn
-
-
 def default_hmax(f: WeightFamily, n: int) -> int:
     """Largest h worth tabulating by default.
 
@@ -387,10 +393,6 @@ def default_hmax(f: WeightFamily, n: int) -> int:
     both caps carry a safety margin and are clipped to n - 1.  Callers
     wanting the full range pass hmax = n - 1 explicitly.
     """
-    import mpmath as mp
-
-    from .asymptotics import family_constants
-
     check_int("n", n, 1)
     c = family_constants(f)
     ln_ratio = mp.log(max(n, 2)) / mp.log(c.d)
@@ -402,13 +404,13 @@ def default_hmax(f: WeightFamily, n: int) -> int:
 def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
     """Exact CDF rows (h, y_{h,n}/y_n) for h = 0 .. min(hmax, n-1)."""
     check_int("n", n, 1)
-    yn = Fraction(_check_period(f, n), _scale(f, n))
+    yn = Fraction(_y_coefficients(f, n)[n], _scale(f, n))
+    if yn == 0:
+        raise PeriodMismatch(f"{f.name}: no trees of size {n} exist (y_{n} = 0)")
     if hmax is None:
         hmax = default_hmax(f, n)
     else:
         check_int("hmax", hmax, 0)
-    from ._split import _prefetch_y0
-
     _prefetch_y0(f, range(1, min(hmax, n - 2) + 1), n)
     rows = []
     for h in range(0, min(hmax, n - 1) + 1):
@@ -420,21 +422,10 @@ def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
 def expectation_exact(f: WeightFamily, n: int) -> Fraction:
     """Exact expectation of the maximum protection number at size n.
 
-    Tail sum E = sum_{h >= 0} (1 - P(X_n <= h)); the sum is finite since
-    P = 1 from h = n-1 on, and stops early as soon as the exact counts
-    agree (they are nondecreasing in h and capped by y_n).
+    The tail sum E = sum_{h >= 0} (1 - P(X_n <= h)) of the CDF rows up to
+    :func:`_protection_bound`; no tree of size n is more protected than
+    that bound, so every later row is 1 and adds nothing.
     """
     check_int("n", n, 1)
-    yn = _check_period(f, n)
-    from ._split import _prefetch_y0
-
-    # levels from n - 1 on read Y, and the loop below stops at the first
-    # level no tree of size n exceeds
-    _prefetch_y0(f, range(1, min(_protection_bound(f, n), n - 2) + 1), n)
-    deficit_total = 0
-    for h in range(0, n - 1):
-        gap = yn - _scaled_count(f, h, n)
-        if gap == 0:
-            break
-        deficit_total = deficit_total + gap
-    return Fraction(deficit_total, yn)
+    rows = cdf_exact(f, n, min(_protection_bound(f, n), n - 1))
+    return sum(1 - row.p_exact for row in rows)

@@ -17,6 +17,7 @@ from protek import (
     eta_sequence,
     expectation_asymptotic,
     family_constants,
+    family_structure,
     make_builtin,
     make_polynomial,
     psi_fluctuation,
@@ -399,16 +400,22 @@ class TestRhoH:
         "name, h, order",
         [("plane", h, 300) for h in (2, 3, 4, 6)]
         + [("pruned-binary", h, 300) for h in (2, 4)]
-        + [("cayley", h, 200) for h in (2, 3, 5)],
+        + [("cayley", h, 200) for h in (2, 3, 5)]
+        + [("1,1/2,1/3", h, 200) for h in (2, 4)]
+        + [("1,1,0,1/7", 3, 200)]
+        + [("riordan", h, 300) for h in (2, 3)]
+        + [("binary", 2, 301)],
     )
     def test_matches_the_coefficient_ratios(self, name, h, order):
-        # rho_h is the dominant singularity of Y_{h,0}, so y_{h,n}/y_{h,n-1}
-        # tends to 1/rho_h; the polynomial in 1/n through the ratios at
-        # n = order-6 .. order, taken at 1/n = 0, extrapolates the limit
-        f = make_builtin(name)
-        ys = {n: bounded_count(f, h, n) for n in range(order, order - 8, -1)}
-        ts = [Fraction(1, n) for n in range(order - 6, order + 1)]
-        ps = [ys[n] / ys[n - 1] for n in range(order - 6, order + 1)]
+        # rho_h is the dominant singularity of Y_{h,0}, so with period D the
+        # ratio y_{h,n}/y_{h,n-D} tends to rho_h^-D; the polynomial in 1/n
+        # through the ratios at n = order-6D .. order, taken at 1/n = 0,
+        # extrapolates the limit
+        f = make_polynomial(name.split(",")) if "," in name else make_builtin(name)
+        period = family_structure(f).D
+        sizes = range(order - 6 * period, order + 1, period)
+        ts = [Fraction(1, n) for n in sizes]
+        ps = [bounded_count(f, h, n) / bounded_count(f, h, n - period) for n in sizes]
         for k in range(1, len(ps)):
             ps = [
                 (ts[i + k] * ps[i] - ts[i] * ps[i + 1]) / (ts[i + k] - ts[i])
@@ -416,7 +423,7 @@ class TestRhoH:
             ]
         rho_h = solve_rho_h(f, h).rho_h
         with mp.workprec(256):
-            assert abs(fraction_to_mpf(ps[0]) * rho_h - 1) < mp.mpf("1e-12")
+            assert abs(fraction_to_mpf(ps[0]) * rho_h**period - 1) < mp.mpf("1e-12")
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_newton_iterations_are_few(self, name):

@@ -175,6 +175,32 @@ class TestCdfCommand:
 
 
 class TestExpectCommand:
+    # The double-exponential regime has no expectation asymptotic, and its
+    # CDF rows stop at the protection bound (6 for riordan at n = 205).
+    PINNED_CSV = {
+        "--family riordan --n 205": (
+            "quantity,value\n"
+            "e_exact_rational,5391648788874949227656131906141512316772011064263128522312804788561050264662691931402467242074/2688552095235561062451417746952849811048372259114032896128129275489343520033837352967458428561\n"
+            "e_exact,2.0054098257681530\n"
+        ),
+        "--family complete-binary --n 205": (
+            "quantity,value\n"
+            "e_exact_rational,27736631059708915526493330119456306688362179192686059072/10005422025158758612847010348009546844788044869638107545\n"
+            "e_exact,2.7721600338261405\n"
+        ),
+        "--weights 1,0,1/6,1/10 --n 61": (
+            "quantity,value\n"
+            "e_exact_rational,611861056759132158158392238815479749/309760765105789202769083749302450860\n"
+            "e_exact,1.9752697103203821\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("args", sorted(PINNED_CSV))
+    def test_pinned_csv_double_exponential(self, capsys, args):
+        code, out, err = run_cli(capsys, "expect", *args.split())
+        assert (code, err) == (0, "")
+        assert out == self.PINNED_CSV[args]
+
     def test_plane_small(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--family", "plane", "--n", "4")
         assert code == 0

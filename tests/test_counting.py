@@ -1,11 +1,16 @@
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import protek
 from protek import (
     InvalidWeights,
     PeriodMismatch,
@@ -25,6 +30,11 @@ from conftest import catalan
 
 
 BUILTINS = ("plane", "binary", "pruned-binary", "cayley", "riordan", "complete-binary")
+WEIGHT_VECTORS = ("1,1/2,1/3", "1,0,1/6,1/10", "1,0,0,1")
+
+
+def family_of(name):
+    return make_polynomial(name.split(",")) if "," in name else make_builtin(name)
 
 
 @st.composite
@@ -226,6 +236,38 @@ class TestExpectation:
         with pytest.raises(PeriodMismatch, match="size 2"):
             expectation_exact(make_polynomial(["1", "0", "1/6", "1/10"]), 2)
 
+    # expectation_exact sums the CDF rows only up to _protection_bound, so
+    # its value rests on that bound admitting every tree
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_is_the_full_tail_sum(self, name):
+        f = make_builtin(name)
+        for n in range(40, 0, -1):  # the first size stores every level
+            assert_full_tail_sum(f, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(f=weight_families(), n=st.integers(1, 40))
+    def test_is_the_full_tail_sum_of_weight_vectors(self, f, n):
+        assert_full_tail_sum(f, n)
+
+    @pytest.mark.parametrize("name", BUILTINS + WEIGHT_VECTORS)
+    def test_protection_bound_admits_every_tree(self, name):
+        f = family_of(name)
+        ys = solve_Y(f, 60)
+        for n in range(1, 61):
+            assert bounded_count(f, counting._protection_bound(f, n), n) == ys[n]
+
+
+def assert_full_tail_sum(f, n):
+    """expectation_exact(f, n) against sum_{h < n-1} (y_n - y_{h,n}) / y_n,
+    with no bound and no early stop."""
+    yn = bounded_count(f, n - 1, n)
+    if yn == 0:
+        with pytest.raises(PeriodMismatch):
+            expectation_exact(f, n)
+        return
+    tail = sum((yn - bounded_count(f, h, n) for h in range(n - 1)), Fraction(0))
+    assert expectation_exact(f, n) == tail / yn
+
 
 # ---------------------------------------------------------------------------
 # level solves shared among forked children
@@ -241,16 +283,16 @@ def split_on(monkeypatch, cpus):
     """Split every prefetch among ``cpus`` shares; returns the list that
     records the levels of each forked child."""
     forked = []
-    fork_solver = _split._fork_solver
+    fork_worker = _split._fork_worker
 
-    def recording(f, levels, order):
-        forked.append(list(levels))
-        return fork_solver(f, levels, order)
+    def recording(fn, items):
+        forked.append(list(items))
+        return fork_worker(fn, items)
 
     monkeypatch.setattr(families, "_STORE", {})
     monkeypatch.setattr(_split, "_SPLIT_WORK_FLOOR", 0)
     monkeypatch.setattr(_split, "_cpus", lambda: cpus)
-    monkeypatch.setattr(_split, "_fork_solver", recording)
+    monkeypatch.setattr(_split, "_fork_worker", recording)
     return forked
 
 
@@ -296,11 +338,11 @@ class TestSplitLevels:
         levels = range(1, order - 1)
         with pytest.MonkeyPatch.context() as monkeypatch:
             forked = split_on(monkeypatch, cpus)
-            _split._prefetch_y0(f, levels, order)
+            counting._prefetch_y0(f, levels, order)
             assert_no_child_left()
-            # a single level stays with the caller, which solves it on reading
+            # a single level stays with the caller, which stores it too
             assert len(forked) == min(cpus, len(levels)) - 1
-            assert stored_y0(f) == (serial_y0(f, levels, order) if forked else {})
+            assert stored_y0(f) == serial_y0(f, levels, order)
 
     def test_failed_child_is_solved_by_the_parent(self, plane, monkeypatch):
         parent = os.getpid()
@@ -313,7 +355,7 @@ class TestSplitLevels:
 
         forked = split_on(monkeypatch, 3)
         monkeypatch.setattr(counting, "_solve_system_raw", child_fails)
-        _split._prefetch_y0(plane, range(1, 20), 30)
+        counting._prefetch_y0(plane, range(1, 20), 30)
         assert_no_child_left()
         assert len(forked) == 2
         assert stored_y0(plane) == serial_y0(plane, range(1, 20), 30)
@@ -321,7 +363,7 @@ class TestSplitLevels:
     def test_error_of_a_child_level_is_raised_typed(self, plane, monkeypatch):
         solve = counting._solve_system_raw
         forked = split_on(monkeypatch, 2)
-        _, theirs = _split._deal({h: _split._y0_work(h, 30) for h in range(1, 20)}, 2)
+        _, theirs = _split._deal({h: counting._y0_work(h, 30) for h in range(1, 20)}, 2)
 
         def level_fails(f, h, order, y0_only=False):
             if h == theirs[0]:
@@ -379,14 +421,66 @@ class TestSplitLevels:
         cdf_exact(plane, 40)
         assert forked == []
 
+    def test_fork_map_of_plain_items(self, monkeypatch):
+        forked = split_on(monkeypatch, 3)
+        parent = os.getpid()
+        work = {item: item % 4 for item in range(1, 10)}
+        got = _split._fork_map(lambda x: (x * x, os.getpid() != parent), work)
+        assert_no_child_left()
+        assert len(forked) == 2
+        assert got == {x: (x * x, any(x in items for items in forked)) for x in work}
+
+    def test_fork_map_raises_the_error_of_a_child_item(self, monkeypatch):
+        forked = split_on(monkeypatch, 2)
+        work = {item: item for item in range(1, 10)}
+        _, theirs = _split._deal(work, 2)
+
+        def fails_on_one(x):
+            if x == theirs[0]:
+                raise ValueError(f"item {x}")
+            return x
+
+        # the child exits 1 and the parent runs its items again
+        with pytest.raises(ValueError, match=f"item {theirs[0]}"):
+            _split._fork_map(fails_on_one, work)
+        assert_no_child_left()
+        assert forked == [theirs]
+
+    def test_split_module_loads_on_the_first_cdf(self):
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import protek.cli
+            from protek import make_builtin, solve_protection_system
+            loaded = []
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in (
+                    ["oracle", "--family", "plane", "--nmax", "6"],
+                    ["rhoh", "--family", "plane", "--h-from", "2", "--h-to", "3"],
+                    ["constants", "--family", "cayley"],
+                ):
+                    assert protek.cli.main(argv) == 0
+                solve_protection_system(make_builtin("plane"), 3, 9).residuals()
+                loaded.append("protek._split" in sys.modules)
+                assert protek.cli.main(["cdf", "--family", "plane", "--n", "9"]) == 0
+                loaded.append("protek._split" in sys.modules)
+            print(*loaded)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(protek.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert (run.returncode, run.stdout) == (0, "False True\n"), run.stderr
+
     def test_levels_are_dealt_by_cost(self):
         work = {1: 5, 2: 4, 3: 3, 4: 3, 5: 1}
         assert _split._deal(work, 2) == [[1, 4], [2, 3, 5]]
         assert _split._deal(work, 3) == [[1], [2, 5], [3, 4]]
 
-    @pytest.mark.parametrize("name", BUILTINS + ("1,1/2,1/3", "1,0,1/6,1/10", "1,0,0,1"))
+    @pytest.mark.parametrize("name", BUILTINS + WEIGHT_VECTORS)
     def test_protection_bound_covers_every_tree(self, name):
-        f = make_polynomial(name.split(",")) if "," in name else make_builtin(name)
+        f = family_of(name)
         for n in range(1, 14):
             largest = max(
                 (m for m, w in oracle_distribution(f, n).weights.items() if w), default=0
