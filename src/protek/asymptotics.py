@@ -162,39 +162,28 @@ def _exponential_limits(f: WeightFamily, tau, rho) -> dict:
     w1 = fraction_to_mpf(f.weight(1))
     zeta = rho * w1
 
-    # both limits read one eta sequence; tee keeps the values lambda1
-    # drew for lambda2 instead of stepping the recursion again
-    etas1, etas2 = itertools.tee(_etas(f, rho, tau))
-
-    # lambda1 = lim zeta^-k eta_k; geometric convergence, so the
-    # relative change of successive iterates is the error estimate.
-    tol1 = mp.mpf(10) ** -25
-    q = tau
-    scale = mp.mpf(1)
-    delta1 = mp.mpf(1)
-    for eta in itertools.islice(etas1, 5000):
-        scale = scale / zeta
-        q_new = scale * eta
-        delta1 = abs(q_new / q - 1)
-        q = q_new
-        if delta1 < tol1:
+    # lambda1 = lim zeta^-k eta_k; geometric convergence, so the relative
+    # change of successive iterates is the error estimate.
+    # lambda2 = prod_{j>=1} Phi'(eta_j)/Phi'(0).  Both read one pass over
+    # the eta sequence, and each stops updating at its own tolerance.
+    tol1, tol2 = mp.mpf(10) ** -25, mp.mpf(10) ** -30
+    lam1, scale, delta1 = tau, mp.mpf(1), mp.mpf(1)
+    lam2, delta2 = mp.mpf(1), mp.mpf(1)
+    for eta in itertools.islice(_etas(f, rho, tau), 5000):
+        if not delta1 < tol1:
+            scale = scale / zeta
+            lam1_new = scale * eta
+            delta1 = abs(lam1_new / lam1 - 1)
+            lam1 = lam1_new
+        if not delta2 < tol2:
+            factor = f.phi_derivs(eta, 1)[1] / w1
+            lam2 *= factor
+            delta2 = abs(factor - 1)
+        if delta1 < tol1 and delta2 < tol2:
             break
     else:
-        raise NoConvergence(f"{f.name}: lambda1 iteration did not stabilize")
-    lam1 = q
-
-    # lambda2 = prod_{j>=1} Phi'(eta_j)/Phi'(0)
-    tol2 = mp.mpf(10) ** -30
-    lam2 = mp.mpf(1)
-    delta2 = mp.mpf(1)
-    for eta in itertools.islice(etas2, 5000):
-        factor = f.phi_derivs(eta, 1)[1] / w1
-        lam2 *= factor
-        delta2 = abs(factor - 1)
-        if delta2 < tol2:
-            break
-    else:
-        raise NoConvergence(f"{f.name}: lambda2 product did not stabilize")
+        limit = "lambda2 product" if delta1 < tol1 else "lambda1 iteration"
+        raise NoConvergence(f"{f.name}: {limit} did not stabilize")
 
     return dict(
         regime="exponential",
@@ -425,62 +414,37 @@ def _rho_h_system(f: WeightFamily, h: int, u):
     """Residuals, exact Jacobian and eta_{h,0} .. eta_{h,h} of the rho_h
     system at u = (rho_h, eta_{h,0}, s), at the working precision.
 
-    The derivatives of eta_{h,k} with respect to the three unknowns are
-    carried forward next to eta_{h,k}, and the determinant residual is
-    differentiated through its partials in each factor rho_h*Phi'(eta_{h,j}),
-    read off prefix and suffix products.  Phi, Phi' and Phi'' are evaluated
-    once at each eta_{h,k}.
+    With p_k = rho_h*Phi'(eta_{h,k}) and q = 1 - rho_h*Phi'(eta_{h,0}), the
+    determinant residual is E_h of the recursion E_0 = 1,
+    E_k = q + p_k*E_{k-1}.  One forward pass carries eta_{h,k}, E_k and
+    their partials in the three unknowns, with Phi, Phi' and Phi''
+    evaluated once at each eta_{h,k}.
     """
     rho_h, eta0, s = u
+    v, dv, ddv = f.phi_derivs(eta0, 2)
+    q = 1 - rho_h * dv
+    dq = (-dv, -rho_h * ddv, 0)
+    r2 = eta0 - rho_h * (v - s + 1)
+    dr2 = [-(v - s + 1), q, rho_h]
+
     etas = [eta0, eta0 - rho_h]
-    detas = [(0, 1, 0), (-1, 1, 0)]       # d eta_k / d(rho_h, eta0, s)
-    phi, dphi, ddphi = [], [], []
-    for k in range(h + 1):
+    deta = (-1, 1, 0)                     # d eta_k / d(rho_h, eta0, s)
+    e, de = mp.mpf(1), (0, 0, 0)          # E_k and dE_k
+    for k in range(1, h + 1):
         v, dv, ddv = f.phi_derivs(etas[k], 2)
-        phi.append(v)
-        dphi.append(dv)
-        ddphi.append(ddv)
-        if 1 <= k < h:
-            etas.append(rho_h * phi[k] - rho_h * s)
-            g = rho_h * dphi[k]
-            de = detas[k]
-            detas.append((phi[k] - s + g * de[0], g * de[1], g * de[2] - rho_h))
+        p, dp_deta = rho_h * dv, rho_h * ddv
+        dp = [dp_deta * d for d in deta]
+        dp[0] += dv
+        de = [dq[i] + dp[i] * e + p * de[i] for i in range(3)]
+        e = q + p * e
+        if k < h:
+            etas.append(rho_h * v - rho_h * s)
+            deta = (v - s + p * deta[0], p * deta[1], p * deta[2] - rho_h)
 
-    r1 = s - phi[h]
-    dr1 = [-dphi[h] * d for d in detas[h]]
+    r1 = s - v
+    dr1 = [-dv * d for d in deta]
     dr1[2] += 1
-
-    r2 = eta0 - rho_h * (phi[0] - s + 1)
-    dr2 = [-(phi[0] - s + 1), 1 - rho_h * dphi[0], rho_h]
-
-    # r3 = P + q*T with p_j = rho_h*Phi'(eta_j), P = p_1*...*p_h,
-    # q = 1 - rho_h*Phi'(eta_0) and T = 1 + sum_{k=2..h} p_k*...*p_h
-    p = [None] + [rho_h * dphi[j] for j in range(1, h + 1)]
-    prefix = [mp.mpf(1)]                  # prefix[j] = p_1*...*p_j
-    for j in range(1, h + 1):
-        prefix.append(prefix[-1] * p[j])
-    suffix = [None] * (h + 2)             # suffix[k] = p_k*...*p_h
-    suffix[h + 1] = acc = tail_sum = mp.mpf(1)
-    for k in range(h, 0, -1):
-        acc *= p[k]
-        suffix[k] = acc
-        if k >= 2:
-            tail_sum += acc
-    q = 1 - rho_h * dphi[0]
-    r3 = prefix[h] + q * tail_sum
-
-    # dr3/dp_j = (prefix[j-1] + q*S_j) * suffix[j+1] with
-    # S_j = sum_{k=2..j} p_k*...*p_{j-1}, and dp_j = Phi'(eta_j) d(rho_h)
-    # + rho_h*Phi''(eta_j) d(eta_j)
-    dr3 = [-dphi[0] * tail_sum, -rho_h * ddphi[0] * tail_sum, 0]
-    s_j = 0
-    for j in range(1, h + 1):
-        a_j = (prefix[j - 1] + q * s_j) * suffix[j + 1]
-        s_j = s_j * p[j] + 1
-        b_j = a_j * rho_h * ddphi[j]
-        dr3 = [dr3[i] + b_j * detas[j][i] for i in range(3)]
-        dr3[0] += a_j * dphi[j]
-    return [r1, r2, r3], [dr1, dr2, dr3], etas
+    return [r1, r2, e], [dr1, dr2, de], etas
 
 
 def solve_rho_h(
@@ -493,16 +457,19 @@ def solve_rho_h(
     forward via eta_{h,1} = eta_{h,0} - rho_h and
     eta_{h,k} = rho_h*Phi(eta_{h,k-1}) - rho_h*s.  Residuals are the
     closure s = Phi(eta_{h,h}), the k = 1 equation folded with the
-    root-level one, and the factored Jacobian-determinant condition
+    root-level one, and the vanishing Jacobian determinant
 
-      prod_{j=1..h} rho_h*Phi'(eta_{h,j})
-        + (1 - rho_h*Phi'(eta_{h,0})) * (1 + sum_{k=2..h} prod_{j=k..h} ...).
+      p_1*...*p_h + q*(1 + sum_{k=2..h} p_k*...*p_h)
 
-    The Newton Jacobian is exact: _rho_h_system differentiates the forward
-    propagation alongside it, with Phi'' from phi_derivs.  The initial guess
-    (rho, tau, 1) reads tau and rho from the stored family_constants and
-    converges for h >= 2 on all builtin families.  Newton stops once every
-    residual is below 2^(-precision_bits/2), after at most 120 steps.
+    with p_k = rho_h*Phi'(eta_{h,k}) and q = 1 - rho_h*Phi'(eta_{h,0}),
+    evaluated as E_h of the Horner recursion E_0 = 1, E_k = q + p_k*E_{k-1}.
+
+    The Newton Jacobian is exact: _rho_h_system carries the partials of
+    eta_{h,k} and E_k forward in the same pass, with Phi'' from
+    phi_derivs.  The initial guess (rho, tau, 1) reads tau and rho from the
+    stored family_constants and converges for h >= 2 on all builtin
+    families.  Newton stops once every residual is below
+    2^(-precision_bits/2), after at most 120 steps.
     """
     check_int("h", h, 2)
     check_int("precision_bits", precision_bits, MIN_PRECISION_BITS)

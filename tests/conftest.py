@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import strategies as st
 
 from protek import OrderedTree, make_builtin
 
@@ -9,6 +12,15 @@ def catalan(n: int) -> int:
     for m in range(n):
         cs.append(sum(cs[i] * cs[m - i] for i in range(m + 1)))
     return cs[n]
+
+
+@st.composite
+def weight_vectors(draw):
+    """w0 = 1, w1 = 0 or not, and one to four more weights, some nonzero."""
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    w1 = draw(st.one_of(st.just(Fraction(0)), weight.filter(bool)))
+    tail = draw(st.lists(weight, min_size=1, max_size=4).filter(any))
+    return [Fraction(1), w1, *tail]
 
 
 def leaf() -> OrderedTree:

@@ -6,6 +6,7 @@ import pytest
 from protek import (
     BUILTIN_NAMES,
     InvalidArgument,
+    NoConvergence,
     NoTau,
     PeriodMismatch,
     WeightFamily,
@@ -258,6 +259,17 @@ class TestConstants:
         else:
             assert 0 < c.mu < 1
 
+    @pytest.mark.parametrize(
+        "weights, limit", [("1,300,1", "lambda1 iteration"), ("1,180,1", "lambda2 product")]
+    )
+    def test_names_the_limit_that_did_not_stabilize(self, weights, limit):
+        # zeta = w1/(w1 + 2) is close to 1, so the eta steps run out first:
+        # lambda1 at 1,300,1, and only lambda2 at 1,180,1
+        f = make_polynomial(weights.split(","))
+        message = rf"^weights\({weights}\): {limit} did not stabilize$"
+        with pytest.raises(NoConvergence, match=message):
+            family_constants(f, 64)
+
     def test_riordan_mu_agrees_with_singularity_route(self, riordan):
         # two independent computations of the decay base
         c = family_constants(riordan, 320)
@@ -425,9 +437,11 @@ class TestRhoH:
         with mp.workprec(256):
             assert abs(fraction_to_mpf(ps[0]) * rho_h**period - 1) < mp.mpf("1e-12")
 
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize(
+        "name", BUILTIN_NAMES + ("1,1/2,1/3", "1,1,0,1/7", "1,0,1/6,1/10", "1,3,0,2/7,5")
+    )
     def test_newton_iterations_are_few(self, name):
-        f = make_builtin(name)
+        f = make_polynomial(name.split(",")) if "," in name else make_builtin(name)
         for h in range(2, 9):
             assert solve_rho_h(f, h, 256).iterations <= 12
 
@@ -449,15 +463,22 @@ def _central_difference_jacobian(f, h, u, prec):
         return jac
 
 
+def _newton_points(f, h, prec):
+    """The Newton start, the converged solution and their midpoint."""
+    c = family_constants(f, prec)
+    sol = solve_rho_h(f, h, prec)
+    start, end = (c.rho, c.tau, mp.mpf(1)), (sol.rho_h, sol.eta[0], sol.s)
+    with mp.workprec(2 * prec):
+        mid = tuple((x + y) / 2 for x, y in zip(start, end))
+    return start, end, mid
+
+
 @pytest.mark.parametrize("spec", BUILTIN_NAMES + ("1,1/2,1/3", "1,0,1/6,1/10"))
 def test_rho_h_jacobian_matches_central_difference(spec):
     f = make_polynomial(spec.split(",")) if "," in spec else make_builtin(spec)
     prec = 128
-    c = family_constants(f, prec)
     for h in range(2, 7):
-        sol = solve_rho_h(f, h, prec)
-        # the Newton start and the converged solution
-        for u in ((c.rho, c.tau, mp.mpf(1)), (sol.rho_h, sol.eta[0], sol.s)):
+        for u in _newton_points(f, h, prec):
             with mp.workprec(prec):
                 _, jac, _ = _rho_h_system(f, h, u)
             fd = _central_difference_jacobian(f, h, u, prec)
@@ -468,6 +489,30 @@ def test_rho_h_jacobian_matches_central_difference(spec):
                         assert err <= max(1, abs(fd[row][col])) * mp.mpf(2) ** -96, (
                             h, row, col,
                         )
+
+
+@pytest.mark.parametrize("spec", BUILTIN_NAMES + ("1,1/2,1/3", "1,0,1/6,1/10"))
+def test_rho_h_determinant_is_the_expanded_product_sum(spec):
+    # the recursion E_k = q + p_k*E_(k-1) against the determinant as the
+    # paper writes it, p_1*...*p_h + q*(1 + sum_{k=2..h} p_k*...*p_h), with
+    # p_k = rho_h*Phi'(eta_k) and q = 1 - p_0 at the returned etas.  The
+    # error is relative to the sum of the absolute values of the terms, q
+    # counted as 1 + |p_0|, since q cancels near the solution.
+    f = make_polynomial(spec.split(",")) if "," in spec else make_builtin(spec)
+    prec = 128
+    for h in range(2, 9):
+        for u in _newton_points(f, h, prec):
+            with mp.workprec(prec):
+                res, _, etas = _rho_h_system(f, h, u)
+            with mp.workprec(2 * prec):
+                p = [u[0] * f.phi_derivs(eta, 1)[1] for eta in etas]
+                q = 1 - p[0]
+                tails = [mp.fprod(p[k:]) for k in range(2, h + 1)]
+                expanded = mp.fprod(p[1:]) + q * (1 + mp.fsum(tails))
+                size = abs(mp.fprod(p[1:])) + (1 + abs(p[0])) * (
+                    1 + mp.fsum(abs(t) for t in tails)
+                )
+                assert abs(res[2] - expanded) <= size * mp.mpf(2) ** -(prec - 8), h
 
 
 class TestCountAsymptotic:

@@ -26,7 +26,7 @@ from protek import (
 )
 from protek import _split, counting, families
 from protek.series import compose_phi
-from conftest import catalan
+from conftest import catalan, weight_vectors
 
 
 BUILTINS = ("plane", "binary", "pruned-binary", "cayley", "riordan", "complete-binary")
@@ -42,10 +42,7 @@ def weight_families(draw):
     """A builtin, or a small polynomial family with w1 = 0 or w1 != 0."""
     if draw(st.booleans()):
         return make_builtin(draw(st.sampled_from(BUILTINS)))
-    weight = st.fractions(min_value=0, max_value=3, max_denominator=4)
-    w1 = draw(st.one_of(st.just(Fraction(0)), weight.filter(bool)))
-    tail = draw(st.lists(weight, min_size=1, max_size=4).filter(any))
-    return make_polynomial([1, w1, *tail])
+    return make_polynomial(draw(weight_vectors()))
 
 
 class TestSolveY:

@@ -3,19 +3,30 @@ from math import factorial
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protek import (
     BUILTIN_NAMES,
     InvalidArgument,
     InvalidWeights,
+    NoConvergence,
+    PeriodMismatch,
     UnknownFamily,
+    cdf_exact,
+    family_constants,
     family_structure,
     make_builtin,
     make_polynomial,
     oracle_check,
+    oracle_distribution,
     solve_protection_system,
+    solve_rho_h,
 )
+from protek.cli import main
 from protek.families import _rational_family
+from protek.textfmt import fraction_to_mpf
+from conftest import weight_vectors
 
 BUILTIN_COEFFS = {
     "plane": lambda j: Fraction(1),
@@ -203,3 +214,75 @@ def test_complete_binary_alias(complete_binary):
     assert complete_binary.name == "complete-binary"
     for j in range(8):
         assert complete_binary.weight(j) == binary.weight(j)
+
+
+def _cdf_rows(f, n):
+    try:
+        return [row.p_exact for row in cdf_exact(f, n, n - 1)]
+    except PeriodMismatch:
+        return None
+
+
+def _rho_3(f, prec):
+    try:
+        return solve_rho_h(f, 3, prec).rho_h
+    except NoConvergence:
+        return None
+
+
+class TestTilting:
+    """w_j -> a^j*w_j multiplies the weight of every n-vertex tree by
+    a^(n-1), so the law of the maximum protection number stays the same.
+    The tilted Phi is Phi(a*t): tau, rho, lambda1 and every rho_h scale by
+    1/a, while zeta, d, kappa, lambda2 and mu stay the same."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        ws=weight_vectors(),
+        a=st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6).filter(bool),
+    )
+    def test_tilt_keeps_every_law(self, ws, a):
+        f = make_polynomial(ws)
+        g = make_polynomial([w * a**j for j, w in enumerate(ws)])
+        # descending sizes, so the first solve stores every shorter column
+        for n in range(29, 0, -1):
+            assert _cdf_rows(g, n) == _cdf_rows(f, n), n
+        for n in range(1, 10):
+            law = oracle_distribution(f, n).weights
+            scaled = {m: a ** (n - 1) * w for m, w in law.items()}
+            assert oracle_distribution(g, n).weights == scaled, n
+
+        prec = 128
+        cf, cg = family_constants(f, prec), family_constants(g, prec)
+        assert cg.regime == cf.regime
+        # Newton stops once the residuals are below 2^-(bits/2), so rho_3
+        # is solved at twice the bits to be compared like the rest
+        rf, rg = _rho_3(f, 2 * prec), _rho_3(g, 2 * prec)
+        assert (rg is None) == (rf is None)
+        with mp.workprec(2 * prec):
+            tol = mp.mpf(2) ** -(prec - 8)
+            scale = 1 / fraction_to_mpf(a)
+            pairs = [(cg.tau, cf.tau * scale), (cg.rho, cf.rho * scale),
+                     (cg.lambda1, cf.lambda1 * scale)]
+            if rf is not None:
+                pairs.append((rg, rf * scale))
+            for name in ("zeta", "d", "kappa", "lambda2", "mu"):
+                assert (getattr(cg, name) is None) == (getattr(cf, name) is None)
+                if getattr(cf, name) is not None:
+                    pairs.append((getattr(cg, name), getattr(cf, name)))
+            for got, want in pairs:
+                assert abs(got / want - 1) <= tol, (got, want)
+
+    @pytest.mark.parametrize(
+        "family, tilted",
+        [(["--family", "binary"], ["--weights", "1,0,1"]),
+         (["--weights", "1,1/2,1/3"], ["--weights", "1,3/2,3"])],
+        ids=["binary-is-1,0,1", "1,1/2,1/3-tilted-by-3"],
+    )
+    def test_cdf_cli_p_exact_column(self, capsys, family, tilted):
+        columns = []
+        for args in (family, tilted):
+            assert main(["cdf", *args, "--n", "41"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            columns.append([line.split(",")[1] for line in lines])
+        assert columns[0] == columns[1]
