@@ -5,8 +5,11 @@ named with --family (builtins) or given as --weights a0,a1,... where each
 entry is an integer or a fraction p/q.  Identical configurations produce
 byte-identical output; the working precision defaults to 256 bits and can
 be overridden per call with --prec or globally with the environment
-variable PROTEK_PREC.  Invalid arguments exit with code 2; every other
-failure prints ``error: ...`` and exits with code 1.
+variable PROTEK_PREC.  argparse exits with code 2 and a usage message on
+an unknown option or choice, a number that is not an integer, --prec
+below 64, --hmax below 0, --nmax below 1, a figure --n that is not
+positive, or --h-to below --h-from.  Every other failure, such as
+cdf --n 0 or rhoh --h-from 1, prints ``error: ...`` and exits with code 1.
 """
 
 from __future__ import annotations
@@ -85,11 +88,6 @@ def _write(args, payload, columns, rows):
         _emit(_csv(columns, rows), args.out)
 
 
-def _real(x):
-    # Call outside mp.workprec: real_str rounds x at the ambient precision.
-    return None if x is None else real_str(x)
-
-
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
@@ -133,22 +131,19 @@ CDF_COLUMNS = ("h", "p_exact", "p_asymptotic", "abs_diff")
 
 def _cdf_rows(f, n, hmax, prec):
     c = family_constants(f, prec)
-    table = cdf_exact(f, n, hmax)
-    raw = []
+    table = cdf_exact(f, n, hmax)  # default_hmax reads logs at the ambient precision
+    rows = []
     with mp.workprec(prec):
         for row in table.rows:
             approx = cdf_asymptotic(c, n, row.h)
-            raw.append((row, approx, abs(fraction_to_mpf(row.p_exact) - approx)))
-    return [
-        {
-            "h": row.h,
-            "p_exact": rational_to_decimal(row.p_exact),
-            "p_exact_rational": rational_pair(row.p_exact),
-            "p_asymptotic": real_str(approx),
-            "abs_diff": real_str(diff),
-        }
-        for row, approx, diff in raw
-    ]
+            rows.append({
+                "h": row.h,
+                "p_exact": rational_to_decimal(row.p_exact),
+                "p_exact_rational": rational_pair(row.p_exact),
+                "p_asymptotic": real_str(approx),
+                "abs_diff": real_str(abs(fraction_to_mpf(row.p_exact) - approx)),
+            })
+    return rows
 
 
 def cmd_cdf(args) -> int:
@@ -168,19 +163,19 @@ def cmd_expect(args) -> int:
     f = _resolve_family(args)
     e_exact = expectation_exact(f, args.n)
     c = family_constants(f, args.prec)
-    e_asym = diff = None
-    try:
-        e_asym = expectation_asymptotic(c, args.n)
-        with mp.workprec(args.prec):
-            diff = abs(fraction_to_mpf(e_exact) - e_asym)
-    except WrongRegime:
-        pass
     values = {
         "e_exact_rational": rational_pair(e_exact),
         "e_exact": rational_to_decimal(e_exact),
-        "e_asymptotic": _real(e_asym),
-        "abs_diff": _real(diff),
+        "e_asymptotic": None,
+        "abs_diff": None,
     }
+    try:
+        e_asym = expectation_asymptotic(c, args.n)
+        with mp.workprec(args.prec):
+            values["e_asymptotic"] = real_str(e_asym)
+            values["abs_diff"] = real_str(abs(fraction_to_mpf(e_exact) - e_asym))
+    except WrongRegime:
+        pass
     payload = {"command": "expect", "family": f.name, "n": args.n, **values}
     rows = [{"quantity": k, "value": v} for k, v in values.items() if v is not None]
     _write(args, payload, ("quantity", "value"), rows)
@@ -244,24 +239,24 @@ def cmd_rhoh(args) -> int:
     f = _resolve_family(args)
     c = family_constants(f, args.prec)
     floor = mp.mpf(2) ** (-(args.prec // 2))
-    raw = []
+    rows = []
     with mp.workprec(args.prec):
         for h in range(args.h_from, args.h_to + 1):
             predicted, signal = _rho_h_predicted(c, h)
+            row = dict.fromkeys(RHOH_COLUMNS)
+            row.update(h=h, predicted=real_str(predicted))
+            rows.append(row)
             if not signal > floor:
-                raw.append((h, None, None, predicted, None, "needs-more-precision"))
+                row["status"] = "needs-more-precision"
                 continue
             try:
                 sol = solve_rho_h(f, h, args.prec)
             except NoConvergence:
-                raw.append((h, None, None, predicted, None, "no-convergence"))
+                row["status"] = "no-convergence"
                 continue
             delta = sol.rho_h - c.rho
-            raw.append((h, sol.rho_h, delta, predicted, delta / predicted, "ok"))
-    rows = [
-        dict(zip(RHOH_COLUMNS, (h, *map(_real, reals), status)))
-        for h, *reals, status in raw
-    ]
+            row.update(rho_h=real_str(sol.rho_h), delta=real_str(delta),
+                       ratio=real_str(delta / predicted), status="ok")
     payload = {"command": "rhoh", "family": f.name, "rows": rows}
     _write(args, payload, RHOH_COLUMNS, rows)
     return 0 if all(row["status"] == "ok" for row in rows) else 1

@@ -364,7 +364,6 @@ def bounded_count(f: WeightFamily, h: int, n: int) -> Fraction:
 class CdfRow(NamedTuple):
     h: int
     p_exact: Fraction
-    p_float: float
 
 
 @dataclass(frozen=True)
@@ -412,11 +411,10 @@ def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
     else:
         check_int("hmax", hmax, 0)
     _prefetch_y0(f, range(1, min(hmax, n - 2) + 1), n)
-    rows = []
-    for h in range(0, min(hmax, n - 1) + 1):
-        p = bounded_count(f, h, n) / yn
-        rows.append(CdfRow(h, p, float(p)))
-    return CdfTable(family=f.name, n=n, rows=tuple(rows))
+    rows = tuple(
+        CdfRow(h, bounded_count(f, h, n) / yn) for h in range(min(hmax, n - 1) + 1)
+    )
+    return CdfTable(family=f.name, n=n, rows=rows)
 
 
 def expectation_exact(f: WeightFamily, n: int) -> Fraction:

@@ -137,10 +137,6 @@ class TruncatedSeries:
             for m in range(len(a))
         )
 
-    def scale(self, value: Coefficient) -> "TruncatedSeries":
-        v = _coerce(value)
-        return TruncatedSeries(v * c for c in self._coeffs)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop coefficients above ``order`` (must not exceed self.order)."""
         check_int("order", order, 0)

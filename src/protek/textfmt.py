@@ -1,7 +1,8 @@
 """Deterministic text rendering for exact rationals and mpmath reals.
 
-Rationals are rendered by integer arithmetic (no float round trip), so
-the printed probabilities carry as many correct digits as requested.
+This module alone decides how a number becomes text.  Rationals are
+rounded by exact Fraction arithmetic (no float round trip), so the printed
+probabilities carry as many correct digits as requested.
 """
 
 from __future__ import annotations
@@ -13,34 +14,23 @@ import mpmath as mp
 SIGNIFICANT_DIGITS = 17
 
 
-def _floor_log10(q: Fraction) -> int:
-    n, d = q.numerator, q.denominator
-    # q lies in [10^(e-1), 10^(e+1)), so e is floor(log10(q)) or one more
-    e = len(str(n)) - len(str(d))
-    ten = Fraction(10)
-    while ten**e > q:
-        e -= 1
-    return e
-
-
 def rational_to_decimal(q: Fraction) -> str:
     """Exact decimal form of q with SIGNIFICANT_DIGITS significant digits.
 
     Rounds half to even; exact integers render without a fraction part,
     and magnitudes below 1e-4 switch to scientific notation.
     """
+    if q.denominator == 1:
+        return str(q.numerator)
     sign = "-" if q < 0 else ""
     q = abs(q)
-    if q.denominator == 1:
-        return sign + str(q.numerator)
-    e = _floor_log10(q)
-    scaled = q / Fraction(10) ** (e - SIGNIFICANT_DIGITS + 1)
-    num, den = scaled.numerator, scaled.denominator
-    digits, rem = divmod(num, den)
-    twice = 2 * rem
-    if twice > den or (twice == den and digits % 2 == 1):
-        digits += 1
-    if digits >= 10**SIGNIFICANT_DIGITS:
+    # q lies in [10^(e-1), 10^(e+1)), so floor(log10(q)) is e or e - 1
+    e = len(str(q.numerator)) - len(str(q.denominator))
+    if Fraction(10) ** e > q:
+        e -= 1
+    # round() of a Fraction is exact and rounds half to even
+    digits = round(q / Fraction(10) ** (e - SIGNIFICANT_DIGITS + 1))
+    if digits == 10**SIGNIFICANT_DIGITS:  # rounding carried into a new digit
         digits //= 10
         e += 1
     ds = str(digits)
@@ -57,8 +47,11 @@ def rational_pair(q: Fraction) -> str:
 
 
 def real_str(x) -> str:
-    """Deterministic decimal form of an mpmath float, SIGNIFICANT_DIGITS long."""
-    return mp.nstr(mp.mpf(x), SIGNIFICANT_DIGITS)
+    """Deterministic decimal form of an mpmath float, SIGNIFICANT_DIGITS long.
+
+    x is rounded to 53 bits first, whatever precision is active at the call.
+    """
+    return mp.nstr(mp.mpf(x, prec=53), SIGNIFICANT_DIGITS)
 
 
 def fraction_to_mpf(q: Fraction) -> mp.mpf:

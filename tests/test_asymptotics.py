@@ -445,6 +445,17 @@ class TestRhoH:
         for h in range(2, 9):
             assert solve_rho_h(f, h, 256).iterations <= 12
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NoConvergence,
+        reason="singular Newton Jacobian from the start (rho, tau, 1) at "
+        "zeta = 0.75: the FOUND line on solve_rho_h for 1,3,1/4 in CHANGES.md",
+    )
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_converges_when_zeta_is_near_one(self, h):
+        f = make_polynomial([1, 3, Fraction(1, 4)])
+        assert solve_rho_h(f, h, 128).iterations <= 12
+
 
 def _central_difference_jacobian(f, h, u, prec):
     """Central finite differences of the rho_h residuals at 2*prec bits."""

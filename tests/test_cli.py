@@ -134,6 +134,68 @@ class TestConstantsCommand:
         assert "precision_bits,192," in out
 
 
+# The full CSV of each rewritten renderer at a precision the byte-exact
+# digest pool never runs (it holds 256 to 4096 bits), with its exit code:
+# the rhoh runs cover `ok`, `needs-more-precision` and `no-convergence`
+# rows, which exit 1.
+LOW_PRECISION_CSV = {
+    "cdf --family plane --n 20 --prec 96": (
+        0,
+        ("h,p_exact,p_asymptotic,abs_diff\n"
+         "0,0,1.300729765406762e-5,1.300729765406762e-5\n"
+         "1,0.041519644847013421,0.060054667895307945,0.018535023048294522\n"
+         "2,0.48590616771687527,0.49503589692619859,0.0091297292093233152\n"
+         "3,0.83604763306364119,0.83880145108698256,0.0027538180233413435\n"
+         "4,0.95546721991080457,0.95700629232361401,0.0015390724128094425\n"
+         "5,0.98838463217241570,0.98907380117630561,0.00068916900388995737\n"
+         "6,0.99699751908486251,0.99725718637430938,0.0002596672894468352\n"
+         "7,0.99922452184385734,0.99931359017926658,8.9068335409284177e-5\n"
+         "8,0.99979942715832835,0.99982835335601805,2.8926197689651399e-5\n"
+         "9,0.99994800774410969,0.99995708557661189,9.0778325022382442e-6\n"
+         "10,0.99998648701555313,0.99998927122149417,2.7842059410577971e-6\n"
+         "11,0.99999647703860114,0.99999731779458223,8.4075598108896371e-7\n"
+         "12,0.99999907823576634,0.9999993294479711,2.5121220475364226e-7\n"
+         "13,0.99999975781762308,0.99999983236195067,7.4544327541932226e-8\n"
+         "14,0.99999993605932572,0.99999995809048503,2.203115930117279e-8\n"
+         "15,0.99999998302459975,0.99999998952262104,6.4980213419677362e-9\n"
+         "16,0.99999999547322660,0.99999999738065526,1.9074286627255528e-9\n"
+         "17,0.99999999886830665,0.99999999934516381,4.7685716503817256e-10\n"
+         "18,0.99999999943415332,0.99999999983629095,4.0213762874441108e-10\n"
+         "19,1,0.99999999995907274,4.092726157894425e-11\n"),
+    ),
+    "rhoh --family plane --h-from 12 --h-to 16 --prec 64": (
+        1,
+        ("h,rho_h,delta,predicted,ratio,status\n"
+         "12,0.25000000838190295,8.3819029529635299e-9,8.3819031715393066e-9,0.99999997392289408,ok\n"
+         "13,0.25000000209547579,2.0954757733691772e-9,2.0954757928848267e-9,0.99999999068676926,ok\n"
+         "14,0.25000000052386895,5.2386894663556078e-10,5.2386894822120667e-10,0.9999999969732013,ok\n"
+         "15,,,1.3096723705530167e-10,,needs-more-precision\n"
+         "16,,,3.2741809263825417e-11,,needs-more-precision\n"),
+    ),
+    "rhoh --weights 1,3,1/4 --h-from 2 --h-to 4 --prec 128": (
+        1,
+        ("h,rho_h,delta,predicted,ratio,status\n"
+         "2,,,0.06574161874140981,,no-convergence\n"
+         "3,,,0.049306214056057361,,no-convergence\n"
+         "4,0.32009529237899925,0.070095292378999238,0.036979660542043019,1.8955093516693129,ok\n"),
+    ),
+    "expect --family cayley --n 28 --prec 64": (
+        0,
+        ("quantity,value\n"
+         "e_exact_rational,24669877972734856586438651287255729405/6039636135796897751926517538878390272\n"
+         "e_exact,4.0846629528750241\n"
+         "e_asymptotic,4.1073256534667433\n"
+         "abs_diff,0.022662700591719358\n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(LOW_PRECISION_CSV))
+def test_pinned_csv_at_low_precision(capsys, args):
+    code, out, err = run_cli(capsys, *args.split())
+    assert (code, out, err) == (*LOW_PRECISION_CSV[args], "")
+
+
 class TestCdfCommand:
     def test_plane_small(self, capsys):
         code, out, _ = run_cli(capsys, "cdf", "--family", "plane", "--n", "4")

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from protek.textfmt import SIGNIFICANT_DIGITS, rational_to_decimal
+from protek import cdf_asymptotic, family_constants, make_builtin
+from protek.textfmt import SIGNIFICANT_DIGITS, rational_to_decimal, real_str
 
 E18 = 10**18
 
@@ -47,10 +49,31 @@ magnitudes = st.builds(
     st.fractions(max_denominator=10**30).filter(bool),
     st.integers(-40, 40),
 )
+# exact halves of a unit in the 17th significant digit, of either sign
+ties = st.builds(
+    lambda d, k, s: s * Fraction(2 * d + 1, 2) * Fraction(10) ** k,
+    st.integers(10**16, 10**17 - 1),
+    st.integers(-40, 40),
+    st.sampled_from((1, -1)),
+)
 
 
-@given(magnitudes)
+@given(st.one_of(magnitudes, ties))
 def test_within_half_a_unit_of_the_last_digit(q):
     rendered = Fraction(rational_to_decimal(q))
     unit = Fraction(10) ** (_floor_log10(abs(q)) - SIGNIFICANT_DIGITS + 1)
     assert abs(rendered - q) <= unit / 2
+    # exact integers print in full; round() on a Fraction is exact half-to-even
+    assert rendered == (q if q.denominator == 1 else round(q / unit) * unit)
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(lambda: mp.mpf(1) / 3, id="one-third"),
+    pytest.param(lambda: cdf_asymptotic(
+        family_constants(make_builtin("plane"), 300), 50, 4), id="plane-cdf"),
+])
+def test_real_str_ignores_the_ambient_precision(value):
+    with mp.workprec(300):
+        x = value()
+        inside = real_str(x)
+    assert real_str(x) == inside
