@@ -12,6 +12,7 @@ from .asymptotics import (
     cdf_asymptotic,
     complex_gamma,
     count_asymptotic,
+    default_hmax,
     eta_sequence,
     expectation_asymptotic,
     family_constants,
@@ -25,7 +26,6 @@ from .counting import (
     ProtectionSeriesSet,
     bounded_count,
     cdf_exact,
-    default_hmax,
     expectation_exact,
     solve_protection_system,
     solve_Y,

@@ -292,6 +292,22 @@ def cdf_asymptotic(c: FamilyConstants, n: int, h: int) -> mp.mpf:
         return mp.exp(exponent)
 
 
+def default_hmax(c: FamilyConstants, n: int) -> int:
+    """Largest h worth tabulating next to :func:`cdf_asymptotic` by default.
+
+    In the exponential regime the CDF is within 1e-15 of 1 beyond roughly
+    4*log_d(n), in the double-exponential regime beyond log_r of that;
+    both caps carry a safety margin and are clipped to n - 1.  The logs
+    are taken at 53 bits, so every precision of c gives the same cap.
+    """
+    check_int("n", n, 1)
+    with mp.workprec(53):
+        ln_ratio = mp.log(max(n, 2)) / mp.log(c.d)
+        if c.regime == "exponential":
+            return min(n - 1, int(mp.ceil(4 * ln_ratio)) + 10)
+        return min(n - 1, int(mp.ceil(mp.log(4 * ln_ratio) / mp.log(c.r))) + 2)
+
+
 # Lanczos approximation, g = 7 with 9 coefficients; together with the
 # reflection formula this covers the whole complex plane and is accurate
 # to ~1e-13 relative on the imaginary arguments needed below.

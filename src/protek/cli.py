@@ -5,11 +5,14 @@ named with --family (builtins) or given as --weights a0,a1,... where each
 entry is an integer or a fraction p/q.  Identical configurations produce
 byte-identical output; the working precision defaults to 256 bits and can
 be overridden per call with --prec or globally with the environment
-variable PROTEK_PREC.  argparse exits with code 2 and a usage message on
-an unknown option or choice, a number that is not an integer, --prec
-below 64, --hmax below 0, --nmax below 1, a figure --n that is not
-positive, or --h-to below --h-from.  Every other failure, such as
-cdf --n 0 or rhoh --h-from 1, prints ``error: ...`` and exits with code 1.
+variable PROTEK_PREC.  main runs the command inside one mp.workprec(--prec)
+block; a command solves the family constants once, at that precision, and
+cdf without --hmax prints h through default_hmax of them.  argparse exits
+with code 2 and a usage message on an unknown option or choice, a number
+that is not an integer, --prec below 64, --hmax below 0, --nmax below 1,
+a figure --n that is not positive, or --h-to below --h-from.  Every other
+failure, such as cdf --n 0 or rhoh --h-from 1, prints ``error: ...`` and
+exits with code 1.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .asymptotics import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
     cdf_asymptotic,
+    default_hmax,
     expectation_asymptotic,
     family_constants,
     solve_rho_h,
@@ -131,18 +135,17 @@ CDF_COLUMNS = ("h", "p_exact", "p_asymptotic", "abs_diff")
 
 def _cdf_rows(f, n, hmax, prec):
     c = family_constants(f, prec)
-    table = cdf_exact(f, n, hmax)  # default_hmax reads logs at the ambient precision
+    table = cdf_exact(f, n, default_hmax(c, n) if hmax is None else hmax)
     rows = []
-    with mp.workprec(prec):
-        for row in table.rows:
-            approx = cdf_asymptotic(c, n, row.h)
-            rows.append({
-                "h": row.h,
-                "p_exact": rational_to_decimal(row.p_exact),
-                "p_exact_rational": rational_pair(row.p_exact),
-                "p_asymptotic": real_str(approx),
-                "abs_diff": real_str(abs(fraction_to_mpf(row.p_exact) - approx)),
-            })
+    for row in table.rows:
+        approx = cdf_asymptotic(c, n, row.h)
+        rows.append({
+            "h": row.h,
+            "p_exact": rational_to_decimal(row.p_exact),
+            "p_exact_rational": rational_pair(row.p_exact),
+            "p_asymptotic": real_str(approx),
+            "abs_diff": real_str(abs(fraction_to_mpf(row.p_exact) - approx)),
+        })
     return rows
 
 
@@ -171,9 +174,8 @@ def cmd_expect(args) -> int:
     }
     try:
         e_asym = expectation_asymptotic(c, args.n)
-        with mp.workprec(args.prec):
-            values["e_asymptotic"] = real_str(e_asym)
-            values["abs_diff"] = real_str(abs(fraction_to_mpf(e_exact) - e_asym))
+        values["e_asymptotic"] = real_str(e_asym)
+        values["abs_diff"] = real_str(abs(fraction_to_mpf(e_exact) - e_asym))
     except WrongRegime:
         pass
     payload = {"command": "expect", "family": f.name, "n": args.n, **values}
@@ -240,23 +242,22 @@ def cmd_rhoh(args) -> int:
     c = family_constants(f, args.prec)
     floor = mp.mpf(2) ** (-(args.prec // 2))
     rows = []
-    with mp.workprec(args.prec):
-        for h in range(args.h_from, args.h_to + 1):
-            predicted, signal = _rho_h_predicted(c, h)
-            row = dict.fromkeys(RHOH_COLUMNS)
-            row.update(h=h, predicted=real_str(predicted))
-            rows.append(row)
-            if not signal > floor:
-                row["status"] = "needs-more-precision"
-                continue
-            try:
-                sol = solve_rho_h(f, h, args.prec)
-            except NoConvergence:
-                row["status"] = "no-convergence"
-                continue
-            delta = sol.rho_h - c.rho
-            row.update(rho_h=real_str(sol.rho_h), delta=real_str(delta),
-                       ratio=real_str(delta / predicted), status="ok")
+    for h in range(args.h_from, args.h_to + 1):
+        predicted, signal = _rho_h_predicted(c, h)
+        row = dict.fromkeys(RHOH_COLUMNS)
+        row.update(h=h, predicted=real_str(predicted))
+        rows.append(row)
+        if not signal > floor:
+            row["status"] = "needs-more-precision"
+            continue
+        try:
+            sol = solve_rho_h(f, h, args.prec)
+        except NoConvergence:
+            row["status"] = "no-convergence"
+            continue
+        delta = sol.rho_h - c.rho
+        row.update(rho_h=real_str(sol.rho_h), delta=real_str(delta),
+                   ratio=real_str(delta / predicted), status="ok")
     payload = {"command": "rhoh", "family": f.name, "rows": rows}
     _write(args, payload, RHOH_COLUMNS, rows)
     return 0 if all(row["status"] == "ok" for row in rows) else 1
@@ -407,7 +408,8 @@ def main(argv=None) -> int:
     if args.command == "rhoh" and args.h_to < args.h_from:
         parser.error("argument --h-to: must be >= --h-from")
     try:
-        return args.func(args)
+        with mp.workprec(args.prec):
+            return args.func(args)
     except (ProtekError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,9 @@ the joint system
 whose k = 0 member generates the trees in which no vertex is more than
 h-protected.  The exact CDF is the coefficient quotient
 P(X_n <= h) = [x^n] Y_{h,0} / [x^n] Y, and the exact expectation is
-the tail sum of that CDF, sum_h (1 - P(X_n <= h)).
+the tail sum of that CDF, sum_h (1 - P(X_n <= h)).  No float code lives
+here: how many rows are worth printing beside the limit laws is decided
+by :func:`protek.asymptotics.default_hmax`.
 
 The solver propagates coefficients order by order: the x-factor in every
 equation makes the coefficient of x^n depend only on coefficients of
@@ -67,9 +69,6 @@ from math import factorial, lcm
 from operator import add, mul
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-import mpmath as mp
-
-from .asymptotics import family_constants
 from .errors import PeriodMismatch, check_int
 from .families import WeightFamily, _memo, _stored, family_structure
 from .series import TruncatedSeries, compose_phi
@@ -384,30 +383,15 @@ class CdfTable:
         raise KeyError(f"no row for h = {h}")
 
 
-def default_hmax(f: WeightFamily, n: int) -> int:
-    """Largest h worth tabulating by default.
-
-    In the exponential regime the CDF is within 1e-15 of 1 beyond roughly
-    4*log_d(n), in the double-exponential regime beyond log_r of that;
-    both caps carry a safety margin and are clipped to n - 1.  Callers
-    wanting the full range pass hmax = n - 1 explicitly.
-    """
-    check_int("n", n, 1)
-    c = family_constants(f)
-    ln_ratio = mp.log(max(n, 2)) / mp.log(c.d)
-    if c.regime == "exponential":
-        return min(n - 1, int(mp.ceil(4 * ln_ratio)) + 10)
-    return min(n - 1, int(mp.ceil(mp.log(4 * ln_ratio) / mp.log(c.r))) + 2)
-
-
 def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
-    """Exact CDF rows (h, y_{h,n}/y_n) for h = 0 .. min(hmax, n-1)."""
+    """Exact CDF rows (h, y_{h,n}/y_n) for h = 0 .. min(hmax, n-1); hmax
+    defaults to :func:`_protection_bound`, beyond which every row is 1."""
     check_int("n", n, 1)
     yn = Fraction(_y_coefficients(f, n)[n], _scale(f, n))
     if yn == 0:
         raise PeriodMismatch(f"{f.name}: no trees of size {n} exist (y_{n} = 0)")
     if hmax is None:
-        hmax = default_hmax(f, n)
+        hmax = _protection_bound(f, n)
     else:
         check_int("hmax", hmax, 0)
     _prefetch_y0(f, range(1, min(hmax, n - 2) + 1), n)
@@ -420,10 +404,7 @@ def cdf_exact(f: WeightFamily, n: int, hmax: Optional[int] = None) -> CdfTable:
 def expectation_exact(f: WeightFamily, n: int) -> Fraction:
     """Exact expectation of the maximum protection number at size n.
 
-    The tail sum E = sum_{h >= 0} (1 - P(X_n <= h)) of the CDF rows up to
-    :func:`_protection_bound`; no tree of size n is more protected than
-    that bound, so every later row is 1 and adds nothing.
+    The tail sum E = sum_{h >= 0} (1 - P(X_n <= h)) of the default
+    :func:`cdf_exact` rows; every later row is 1 and adds nothing.
     """
-    check_int("n", n, 1)
-    rows = cdf_exact(f, n, min(_protection_bound(f, n), n - 1))
-    return sum(1 - row.p_exact for row in rows)
+    return sum(1 - row.p_exact for row in cdf_exact(f, n))

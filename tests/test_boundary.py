@@ -43,7 +43,7 @@ ENTRY_POINTS = [
     ("cdf_exact n", lambda v: cdf_exact(PLANE, v), 1),
     ("cdf_exact hmax", lambda v: cdf_exact(PLANE, 5, v), 0),
     ("expectation_exact n", lambda v: expectation_exact(PLANE, v), 1),
-    ("default_hmax n", lambda v: default_hmax(PLANE, v), 1),
+    ("default_hmax n", lambda v: default_hmax(family_constants(PLANE), v), 1),
     ("oracle_distribution n", lambda v: oracle_distribution(PLANE, v), 1),
     ("enumerate_trees n", lambda v: enumerate_trees(v), 1),
     ("enumerate_trees outdegree", lambda v: enumerate_trees(5, {0, 2, v}), 0),

@@ -235,6 +235,43 @@ class TestCdfCommand:
         _, out2, _ = run_cli(capsys, "cdf", "--family", "riordan", "--n", "13")
         assert out1 == out2
 
+    # 4*log_d(64) is exactly 12 for plane and 24 for pruned-binary, so logs
+    # taken at 1024 bits could round its ceiling either way
+    @pytest.mark.parametrize("family, last", [("plane", 22), ("pruned-binary", 34)])
+    def test_default_rows_do_not_move_with_precision(self, capsys, family, last):
+        for prec in ("64", "256", "1024"):
+            code, out, err = run_cli(
+                capsys, "cdf", "--family", family, "--n", "64", "--prec", prec
+            )
+            assert (code, err) == (0, "")
+            hs = [line.split(",")[0] for line in out.splitlines()[1:]]
+            assert hs == [str(h) for h in range(last + 1)]
+
+    def test_default_hmax_is_the_same_at_every_precision(self):
+        for name in families.BUILTIN_NAMES:
+            f = families.make_builtin(name)
+            caps = [
+                [asymptotics.default_hmax(asymptotics.family_constants(f, p), n)
+                 for n in range(1, 301)]
+                for p in (64, 256, 1024)
+            ]
+            assert caps[0] == caps[1] == caps[2], name
+
+    def test_constants_solved_once_at_the_given_precision(self, capsys, monkeypatch):
+        # the default table length reads the constants the rows already use
+        calls = []
+        solve = asymptotics.solve_tau_rho
+
+        def counted(f, precision_bits):
+            calls.append(precision_bits)
+            return solve(f, precision_bits)
+
+        monkeypatch.setattr(asymptotics, "solve_tau_rho", counted)
+        monkeypatch.setattr(families, "_STORE", {})
+        code, _, _ = run_cli(capsys, "cdf", "--family", "cayley", "--n", "30", "--prec", "64")
+        assert code == 0
+        assert calls == [64]
+
 
 class TestExpectCommand:
     # The double-exponential regime has no expectation asymptotic, and its

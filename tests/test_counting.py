@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -202,6 +203,30 @@ class TestCdf:
         table = cdf_exact(complete_binary, 7, hmax=6)
         assert table.rows[-1].p_exact == 1
 
+    @pytest.mark.parametrize("name", BUILTINS + WEIGHT_VECTORS)
+    def test_default_rows_end_at_the_protection_bound(self, name):
+        f = family_of(name)
+        rows = cdf_exact(f, 31).rows
+        assert [r.h for r in rows] == list(range(counting._protection_bound(f, 31) + 1))
+        assert rows[-1].p_exact == 1
+        assert rows == cdf_exact(f, 31, hmax=30).rows[: len(rows)]
+
+
+def test_counting_imports_no_float_code():
+    # the exact module reaches neither mpmath nor the limit laws
+    imported = set()
+    for node in ast.walk(ast.parse(Path(counting.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert imported and not any(
+        name.split(".")[0] == "mpmath" or "asymptotics" in name.split(".")
+        for name in imported
+    ), sorted(imported)
+
 
 class TestExpectation:
     def test_single_vertex(self, plane):
@@ -396,7 +421,7 @@ class TestSplitLevels:
         thread = threading.Thread(target=release.wait, args=(60,))
         thread.start()
         try:
-            table = cdf_exact(plane, 30)
+            table = cdf_exact(plane, 30, hmax=20)
         finally:
             release.set()
             thread.join(timeout=60)
