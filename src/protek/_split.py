@@ -7,12 +7,12 @@ marshal bytes, so every result is the same value the parent would have
 computed.
 
 The counting module imports this module on its first CDF or expectation,
-so commands that never call them (oracle, rhoh, constants) do not load
-it.  It uses ``os.fork`` rather than a process pool: a WeightFamily
-holds closures and cannot be pickled, and importing ``multiprocessing``
-and ``concurrent.futures.process`` after ``protek.cli`` added about
-1.6 MiB of peak memory on Python 3.11, while ``marshal`` and ``os`` are
-loaded at start-up.
+and the asymptotics module when the rhoh command prefetches its levels,
+so oracle and constants do not load it.  It uses ``os.fork`` rather than
+a process pool: a WeightFamily holds closures and cannot be pickled, and
+importing ``multiprocessing`` and ``concurrent.futures.process`` after
+``protek.cli`` added about 1.6 MiB of peak memory on Python 3.11, while
+``marshal`` and ``os`` are loaded at start-up.
 """
 
 import marshal

@@ -19,20 +19,25 @@ there two regimes split on whether outdegree 1 carries weight:
 The singularity rho_h of the h-bounded generating functions is pinned by
 a three-unknown system (the two boundary equations plus a vanishing
 Jacobian determinant) and solved here by Newton iteration in
-arbitrary-precision floats.
+arbitrary-precision floats.  The levels h share nothing but tau and rho,
+so :func:`_prefetch_rho_h` solves the levels missing from the store with
+:func:`protek._split._fork_map`, on every CPU of the process's affinity
+mask, before :func:`solve_rho_h` reads them one by one.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import mpmath as mp
+from mpmath.libmp import MPZ
 
 from .errors import InvalidArgument, NoConvergence, NoTau, PeriodMismatch, WrongRegime, check_int
-from .families import WeightFamily, _memo, family_structure
+from .families import WeightFamily, _memo, _stored, family_structure
 from .textfmt import fraction_to_mpf
 
 DEFAULT_PRECISION_BITS = 256
@@ -52,7 +57,9 @@ def solve_tau_rho(
 
     H(t) = t*Phi'(t) - Phi(t) has H(0) = -1 and derivative t*Phi''(t) > 0,
     so the root is bracketed by scanning a geometric grid upward and then
-    polished by Newton with a bisection safeguard.  The grid ends just
+    polished by Newton with a bisection safeguard.  The scan reads the sign
+    of H at 64 bits and confirms the bracket at full precision; when that
+    check fails it scans again at full precision.  The grid ends just
     below the radius, or for entire Phi at the first of 1e6, 2e6, 4e6, ...
     where H > 0 (H(t) -> +inf once some w_j > 0 at j >= 2).  If the scan
     finds no sign change, the family has no tau and NoTau is raised.
@@ -73,21 +80,32 @@ def solve_tau_rho(
         else:
             hi_cap = mp.mpf(f.radius) * (1 - mp.mpf(10) ** -6)
 
-        lo = mp.mpf(0)
-        hi = None
-        for k in range(120, -1, -1):
-            t = hi_cap * mp.mpf(2) ** (-k)
-            if big_h(t) > 0:
-                hi = t
-                break
-            lo = t
-        if hi is None:
+        def scan(positive):
+            lo = mp.mpf(0)
+            for k in range(120, -1, -1):
+                t = hi_cap * mp.mpf(2) ** (-k)
+                if positive(t):
+                    return lo, t
+                lo = t
+            return None
+
+        # H is increasing, so one sign change read at 64 bits and confirmed
+        # at full precision is the bracket the full-precision scan finds
+        bracket = scan(lambda t: _coarse_positive(big_h, t))
+        if (
+            bracket is None
+            or not big_h(bracket[1]) > 0
+            or (bracket[0] > 0 and big_h(bracket[0]) > 0)
+        ):
+            bracket = scan(lambda t: big_h(t) > 0)
+        if bracket is None:
             raise NoTau(
                 f"{f.name}: t*Phi'(t) - Phi(t) has no sign change below the "
                 f"radius of convergence; the family lacks the structural "
                 f"point tau and is not analyzable here"
             )
 
+        lo, hi = bracket
         t = (lo + hi) / 2
         step_target = mp.mpf(2) ** (-(precision_bits + 10))
         for _ in range(400):
@@ -110,6 +128,13 @@ def solve_tau_rho(
         tau = t
         rho = tau / f.phi_derivs(tau, 0)[0]
         return tau, rho
+
+
+def _coarse_positive(big_h, t) -> bool:
+    """Whether big_h(t) > 0, evaluated at 64 bits: the bracket scan of
+    solve_tau_rho reads only this sign, at up to 121 grid points."""
+    with mp.workprec(64):
+        return big_h(t) > 0
 
 
 @dataclass(frozen=True)
@@ -463,6 +488,86 @@ def _rho_h_system(f: WeightFamily, h: int, u):
     return [r1, r2, e], [dr1, dr2, de], etas
 
 
+def _rho_h_newton(f: WeightFamily, h: int, precision_bits: int) -> bytes:
+    """The Newton solve of solve_rho_h as the marshal bytes of
+    (failure, iterations, u, residuals, etas), where failure is None or
+    the reason the solve failed and every mpf is a _packed tuple.  The
+    bytes take about 40% of the memory the tuples would take in the
+    store."""
+    with mp.workprec(precision_bits + _GUARD_BITS):
+        c = family_constants(f, precision_bits)
+        rho = c.rho
+        u = [rho, c.tau, mp.mpf(1)]
+        tol = mp.mpf(2) ** (-(precision_bits // 2))
+        res, jac, etas = _rho_h_system(f, h, u)
+        failure = None
+        for iterations in range(120):
+            norm = max(abs(v) for v in res)
+            if norm < tol:
+                break
+            try:
+                delta = mp.lu_solve(jac, res)
+            except ZeroDivisionError:
+                failure = "singular Newton Jacobian"
+                break
+            u = [u[i] - delta[i] for i in range(3)]
+            res, jac, etas = _rho_h_system(f, h, u)
+        else:
+            failure = (
+                f"Newton did not reach the residual target 2^-{precision_bits // 2}"
+            )
+
+        slack = mp.mpf(2) ** (-(precision_bits // 4))
+        if failure is None and (
+            u[0] < rho - slack
+            or any(etas[k] < etas[k + 1] - slack for k in range(h))
+        ):
+            failure = "converged to a spurious root"
+        packed = (tuple(map(_packed, x)) for x in (u, res, etas))
+        return marshal.dumps((failure, iterations, *packed))
+
+
+def _packed(x: mp.mpf) -> tuple:
+    """The _mpf_ tuple of x with an int mantissa, which marshal can send."""
+    sign, man, exp, bc = x._mpf_
+    return sign, int(man), exp, bc
+
+
+def _unpacked(t: tuple) -> mp.mpf:
+    """The mpf of a _packed tuple, every bit kept: mp.mpf(t) would round
+    it to the working precision."""
+    sign, man, exp, bc = t
+    return mp.make_mpf((sign, MPZ(man), exp, bc))
+
+
+def _rho_h_work(h: int, bits: int) -> int:
+    """Estimated cost of the rho_h solve at level h and precision bits, in
+    units of about 100 ns, as _SPLIT_WORK_FLOOR counts them.  Each Newton
+    step evaluates Phi at h + 1 points, and a solve at larger h takes
+    fewer steps: on a 2-CPU x86-64 machine (Python 3.11, mpmath 1.3
+    without gmpy) a level of plane, cayley, binary, pruned-binary or
+    riordan at 64 to 2048 bits took about 0.85 us * (h + 8) * (bits + 128),
+    mostly within a factor of 1.6 of that."""
+    return 8 * (h + 8) * (bits + 128)
+
+
+def _prefetch_rho_h(f: WeightFamily, hs: Iterable[int], bits: int) -> None:
+    """Store the rho_h solve at precision ``bits`` of every level h in
+    ``hs`` that the store lacks, solved on every CPU of the process (see
+    _fork_map).  The family constants are solved here first, so no child
+    solves them again."""
+    from ._split import _fork_map
+
+    hs = list(hs)
+    for h in hs:
+        check_int("h", h, 2)
+    family_constants(f, bits)
+    work = {h: _rho_h_work(h, bits) for h in hs if _stored(f, ("rho_h", h, bits)) is None}
+    outcomes = _fork_map(lambda h: _rho_h_newton(f, h, bits), work)
+    for h, outcome in outcomes.items():
+        _memo(f, ("rho_h", h, bits), lambda outcome=outcome: outcome)
+
+
 def solve_rho_h(
     f: WeightFamily, h: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> RhoHSolution:
@@ -486,49 +591,28 @@ def solve_rho_h(
     stored family_constants and converges for h >= 2 on all builtin
     families.  Newton stops once every residual is below
     2^(-precision_bits/2), after at most 120 steps.
+
+    The outcome is kept in the one results store under
+    ("rho_h", h, precision_bits), where _prefetch_rho_h may have put it,
+    failures included: a level is solved once, and a failed level raises
+    the same NoConvergence on every read.  Families with the same weights
+    share the entry; each caller's copy carries its own family name.
     """
     check_int("h", h, 2)
     check_int("precision_bits", precision_bits, MIN_PRECISION_BITS)
-    with mp.workprec(precision_bits + _GUARD_BITS):
-        c = family_constants(f, precision_bits)
-        rho = c.rho
-        u = [rho, c.tau, mp.mpf(1)]
-        tol = mp.mpf(2) ** (-(precision_bits // 2))
-        res, jac, etas = _rho_h_system(f, h, u)
-        for iterations in range(120):
-            norm = max(abs(v) for v in res)
-            if norm < tol:
-                break
-            try:
-                delta = mp.lu_solve(jac, res)
-            except ZeroDivisionError as exc:
-                raise NoConvergence(
-                    f"{f.name}, h = {h}: singular Newton Jacobian", tuple(u)
-                ) from exc
-            u = [u[i] - delta[i] for i in range(3)]
-            res, jac, etas = _rho_h_system(f, h, u)
-        else:
-            raise NoConvergence(
-                f"{f.name}, h = {h}: Newton did not reach the residual target "
-                f"2^-{precision_bits // 2}",
-                tuple(u),
-            )
-
-        rho_h, eta0, s = u
-        slack = mp.mpf(2) ** (-(precision_bits // 4))
-        if rho_h < rho - slack or any(
-            etas[k] < etas[k + 1] - slack for k in range(h)
-        ):
-            raise NoConvergence(
-                f"{f.name}, h = {h}: converged to a spurious root", tuple(u)
-            )
-        return RhoHSolution(
-            family=f.name,
-            h=h,
-            precision_bits=precision_bits,
-            rho_h=rho_h,
-            eta=tuple(etas),
-            s=s,
-            residuals=tuple(res),
-            iterations=iterations,
-        )
+    failure, iterations, u, res, etas = marshal.loads(_memo(
+        f, ("rho_h", h, precision_bits), lambda: _rho_h_newton(f, h, precision_bits)
+    ))
+    u = tuple(map(_unpacked, u))
+    if failure is not None:
+        raise NoConvergence(f"{f.name}, h = {h}: {failure}", u)
+    return RhoHSolution(
+        family=f.name,
+        h=h,
+        precision_bits=precision_bits,
+        rho_h=u[0],
+        eta=tuple(map(_unpacked, etas)),
+        s=u[2],
+        residuals=tuple(map(_unpacked, res)),
+        iterations=iterations,
+    )

@@ -27,6 +27,7 @@ import mpmath as mp
 from .asymptotics import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
+    _prefetch_rho_h,
     cdf_asymptotic,
     default_hmax,
     expectation_asymptotic,
@@ -34,8 +35,8 @@ from .asymptotics import (
     solve_rho_h,
 )
 from .counting import cdf_exact, expectation_exact
-from .errors import NoConvergence, ProtekError, WrongRegime
-from .families import BUILTIN_NAMES, make_builtin, make_polynomial
+from .errors import NoConvergence, ProtekError
+from .families import BUILTIN_NAMES, family_structure, make_builtin, make_polynomial
 from .oracle import oracle_check
 from .textfmt import fraction_to_mpf, rational_pair, rational_to_decimal, real_str
 
@@ -165,19 +166,18 @@ def cmd_cdf(args) -> int:
 def cmd_expect(args) -> int:
     f = _resolve_family(args)
     e_exact = expectation_exact(f, args.n)
-    c = family_constants(f, args.prec)
     values = {
         "e_exact_rational": rational_pair(e_exact),
         "e_exact": rational_to_decimal(e_exact),
         "e_asymptotic": None,
         "abs_diff": None,
     }
-    try:
-        e_asym = expectation_asymptotic(c, args.n)
+    # the expectation formula is the exponential regime's (w1 != 0); a
+    # double-exponential family prints the exact values alone
+    if not family_structure(f).w1_zero:
+        e_asym = expectation_asymptotic(family_constants(f, args.prec), args.n)
         values["e_asymptotic"] = real_str(e_asym)
         values["abs_diff"] = real_str(abs(fraction_to_mpf(e_exact) - e_asym))
-    except WrongRegime:
-        pass
     payload = {"command": "expect", "family": f.name, "n": args.n, **values}
     rows = [{"quantity": k, "value": v} for k, v in values.items() if v is not None]
     _write(args, payload, ("quantity", "value"), rows)
@@ -241,9 +241,11 @@ def cmd_rhoh(args) -> int:
     f = _resolve_family(args)
     c = family_constants(f, args.prec)
     floor = mp.mpf(2) ** (-(args.prec // 2))
+    levels = [(h, *_rho_h_predicted(c, h)) for h in range(args.h_from, args.h_to + 1)]
+    # every level that a row solves is solved here first, on every CPU
+    _prefetch_rho_h(f, [h for h, _, signal in levels if signal > floor], args.prec)
     rows = []
-    for h in range(args.h_from, args.h_to + 1):
-        predicted, signal = _rho_h_predicted(c, h)
+    for h, predicted, signal in levels:
         row = dict.fromkeys(RHOH_COLUMNS)
         row.update(h=h, predicted=real_str(predicted))
         rows.append(row)

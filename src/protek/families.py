@@ -236,8 +236,10 @@ def make_polynomial(
 
 
 # Every finished result: a scaled coefficient column under
-# (cache_key, "Y") or (cache_key, "Y0", h), and a FamilyConstants under
-# (cache_key, "constants", precision_bits).  Never evicted (README, "Library").
+# (cache_key, "Y") or (cache_key, "Y0", h), a FamilyConstants under
+# (cache_key, "constants", precision_bits), and the outcome of a rho_h
+# solve under (cache_key, "rho_h", h, precision_bits).  Never evicted
+# (README, "Library").
 _STORE: dict = {}
 
 

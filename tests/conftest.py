@@ -1,9 +1,10 @@
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from protek import OrderedTree, make_builtin
+from protek import OrderedTree, _split, families, make_builtin
 
 
 def catalan(n: int) -> int:
@@ -21,6 +22,28 @@ def weight_vectors(draw):
     w1 = draw(st.one_of(st.just(Fraction(0)), weight.filter(bool)))
     tail = draw(st.lists(weight, min_size=1, max_size=4).filter(any))
     return [Fraction(1), w1, *tail]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_on(monkeypatch, cpus):
+    """Split every prefetch among ``cpus`` shares; returns the list that
+    records the items of each forked child."""
+    forked = []
+    fork_worker = _split._fork_worker
+
+    def recording(fn, items):
+        forked.append(list(items))
+        return fork_worker(fn, items)
+
+    monkeypatch.setattr(families, "_STORE", {})
+    monkeypatch.setattr(_split, "_SPLIT_WORK_FLOOR", 0)
+    monkeypatch.setattr(_split, "_cpus", lambda: cpus)
+    monkeypatch.setattr(_split, "_fork_worker", recording)
+    return forked
 
 
 def leaf() -> OrderedTree:

@@ -1,3 +1,6 @@
+import os
+import re
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,9 +29,10 @@ from protek import (
     solve_tau_rho,
     two_point_predictor,
 )
-from protek import asymptotics, families
+from protek import _split, asymptotics, families
 from protek.asymptotics import _GUARD_BITS, _predictor_round, _rho_h_system
 from protek.textfmt import fraction_to_mpf
+from conftest import assert_no_child_left, split_on
 
 ALL_BUILTINS = ("plane", "binary", "pruned-binary", "cayley", "riordan")
 
@@ -37,6 +41,12 @@ def _as_mpf(value):
     if isinstance(value, Fraction):
         return fraction_to_mpf(value)
     return mp.mpf(value)
+
+
+def family_of(name):
+    if "," not in name:
+        return make_builtin(name)
+    return make_polynomial([Fraction(eval(w)) for w in name.split(",")])
 
 
 def close(x, target, tol):
@@ -84,6 +94,40 @@ class TestTauRho:
         with mp.workprec(280):
             target = mp.mpf(10) ** mp.mpf("6.5")
             assert close(tau / target, 1, mp.mpf(10) ** -50)
+
+    @pytest.mark.parametrize("bits", (64, 256, 1024))
+    @pytest.mark.parametrize("name", ALL_BUILTINS + ("1,1/2,1/3", "1,0,1/6,1/10", "1,0,1/10**13"))
+    def test_coarse_scan_keeps_every_bit(self, name, bits, monkeypatch):
+        # a coarse sign that is always wrong, never positive or always
+        # positive falls back to the full-precision scan, and a coarse sign
+        # read at full precision is that scan: each gives the same bits
+        f = family_of(name)
+        expected = [x._mpf_ for x in solve_tau_rho(f, bits)]
+        for sign in (
+            lambda big_h, t: not big_h(t) > 0,
+            lambda big_h, t: False,
+            lambda big_h, t: True,
+            lambda big_h, t: big_h(t) > 0,
+        ):
+            monkeypatch.setattr(asymptotics, "_coarse_positive", sign)
+            assert [x._mpf_ for x in solve_tau_rho(f, bits)] == expected
+
+    def test_no_tau_survives_a_wrong_coarse_sign(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_coarse_positive", lambda big_h, t: True)
+        with pytest.raises(NoTau):
+            solve_tau_rho(_subcritical_family())
+
+    def test_bracket_is_read_at_64_bits(self, plane):
+        # at full precision the scan only confirms its two bracket ends
+        calls = []
+
+        def phi_derivs(t, m=0):
+            calls.append((m, mp.mp.prec))
+            return plane.phi_derivs(t, m)
+
+        solve_tau_rho(replace(plane, phi_derivs=phi_derivs), 1024)
+        assert calls.count((1, 64)) > 10
+        assert calls.count((1, 1024 + _GUARD_BITS)) == 2
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_defining_identities(self, name):
@@ -455,6 +499,99 @@ class TestRhoH:
     def test_converges_when_zeta_is_near_one(self, h):
         f = make_polynomial([1, 3, Fraction(1, 4)])
         assert solve_rho_h(f, h, 128).iterations <= 12
+
+
+def rho_h_bits(f, h, bits):
+    """solve_rho_h(f, h, bits) with every mpf as its _mpf_ tuple: each field
+    of the solution, or the message and last iterate of its failure."""
+    def exact(v):
+        return tuple(map(exact, v)) if isinstance(v, tuple) else getattr(v, "_mpf_", v)
+
+    try:
+        sol = solve_rho_h(f, h, bits)
+    except NoConvergence as exc:
+        return str(exc), exact(exc.last_iterate)
+    return {field.name: exact(getattr(sol, field.name)) for field in fields(sol)}
+
+
+class TestRhoHSplit:
+    @pytest.mark.parametrize(
+        "name, bits, hs",
+        [
+            ("plane", 1024, range(2, 25)),
+            ("plane", 64, range(2, 15)),
+            ("cayley", 256, range(2, 15)),
+            ("riordan", 128, range(2, 6)),
+            ("1,3,1/4", 128, range(2, 7)),
+            ("1,0,1/6,1/10", 96, range(2, 6)),
+        ],
+    )
+    def test_child_solutions_keep_every_bit(self, name, bits, hs, monkeypatch):
+        f = family_of(name)
+        monkeypatch.setattr(families, "_STORE", {})
+        serial = {h: rho_h_bits(f, h, bits) for h in hs}
+        forked = split_on(monkeypatch, 2)
+        asymptotics._prefetch_rho_h(f, hs, bits)
+        assert_no_child_left()
+        assert len(forked) == 1 and forked[0]
+        assert {h: rho_h_bits(f, h, bits) for h in hs} == serial
+
+    def test_a_failing_level_is_solved_once(self, tmp_path, monkeypatch):
+        # 1,3,1/4 fails at h = 2 and 3 (see test_converges_when_zeta_is_near_one);
+        # the child sends the failure back instead of exiting 1, so the
+        # parent solves none of its levels again
+        f = make_polynomial([1, 3, Fraction(1, 4)])
+        log = tmp_path / "solves"
+        newton = asymptotics._rho_h_newton
+
+        def logged(f, h, bits):
+            with open(log, "a") as fh:
+                fh.write(f"{h} {os.getpid()}\n")
+            return newton(f, h, bits)
+
+        forked = split_on(monkeypatch, 2)
+        monkeypatch.setattr(asymptotics, "_rho_h_newton", logged)
+        asymptotics._prefetch_rho_h(f, range(2, 7), 128)
+        assert_no_child_left()
+        messages = []
+        for _ in range(2):
+            for h in (2, 3):
+                with pytest.raises(NoConvergence) as exc:
+                    solve_rho_h(f, h, 128)
+                messages.append(str(exc.value))
+        solves = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(h) for h, _ in solves) == [2, 3, 4, 5, 6]
+        assert {int(h) for h, pid in solves if pid != str(os.getpid())} == set(forked[0])
+        assert messages == [
+            f"weights(1,3,1/4), h = {h}: singular Newton Jacobian" for h in (2, 3)
+        ] * 2
+
+    def test_shared_solutions_carry_each_family_name(self, monkeypatch):
+        monkeypatch.setattr(families, "_STORE", {})
+        monkeypatch.setattr(_split, "_cpus", lambda: 1)
+        solves = []
+        newton = asymptotics._rho_h_newton
+        monkeypatch.setattr(
+            asymptotics, "_rho_h_newton", lambda *args: solves.append(args[1:]) or newton(*args)
+        )
+        fams = [make_builtin(name) for name in ("binary", "complete-binary")]
+        fams.append(make_polynomial([1, 0, 1]))
+        asymptotics._prefetch_rho_h(fams[0], range(2, 5), 256)
+        sols = [solve_rho_h(f, 3, 256) for f in fams]
+        assert [sol.family for sol in sols] == ["binary", "complete-binary", "weights(1,0,1)"]
+        assert len({sol.rho_h for sol in sols}) == 1
+        # a stored failure names the family that reads it
+        weights = [1, 3, Fraction(1, 4)]
+        for f in (make_polynomial(weights), make_polynomial(weights, name="other")):
+            with pytest.raises(NoConvergence, match=rf"^{re.escape(f.name)}, h = 2: singular"):
+                solve_rho_h(f, 2, 128)
+        assert solves == [(2, 256), (3, 256), (4, 256), (2, 128)]
+
+    def test_prefetch_checks_every_level(self, plane, monkeypatch):
+        forked = split_on(monkeypatch, 2)
+        with pytest.raises(InvalidArgument, match="h must be >= 2"):
+            asymptotics._prefetch_rho_h(plane, range(1, 9), 256)
+        assert forked == []
 
 
 def _central_difference_jacobian(f, h, u, prec):

@@ -1,9 +1,11 @@
 import json
+import os
 
 import pytest
 
-from protek import NoConvergence, asymptotics, cli, counting, families, oracle
+from protek import NoConvergence, _split, asymptotics, cli, counting, families, oracle
 from protek.cli import FIGURE_PANELS, main
+from conftest import assert_no_child_left, split_on
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +296,18 @@ class TestExpectCommand:
         ),
     }
 
+    def test_double_exponential_solves_no_constants(self, capsys, monkeypatch):
+        # the regime follows from w1 alone; no constant is printed
+        solves = []
+        constants = cli.family_constants
+        monkeypatch.setattr(
+            cli, "family_constants", lambda *args: solves.append(args) or constants(*args)
+        )
+        for name in ("riordan", "cayley"):
+            code, _, _ = run_cli(capsys, "expect", "--family", name, "--n", "31")
+            assert code == 0
+        assert [f.name for f, _ in solves] == ["cayley"]
+
     @pytest.mark.parametrize("args", sorted(PINNED_CSV))
     def test_pinned_csv_double_exponential(self, capsys, args):
         code, out, err = run_cli(capsys, "expect", *args.split())
@@ -427,6 +441,36 @@ class TestRhohCommand:
             )
             assert code == 0
         assert calls == [256, 128]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--family plane --h-from 2 --h-to 24 --prec 1024",
+            "--family plane --h-from 12 --h-to 16 --prec 64",
+            "--weights 1,3,1/4 --h-from 2 --h-to 4 --prec 128",
+            "--family cayley --h-from 2 --h-to 9 --prec 96 --format json",
+        ],
+    )
+    def test_split_and_serial_print_the_same_bytes(self, capsys, monkeypatch, args):
+        monkeypatch.setattr(families, "_STORE", {})
+        monkeypatch.setattr(_split, "_cpus", lambda: 1)
+        serial = run_cli(capsys, "rhoh", *args.split())
+        forked = split_on(monkeypatch, 2)
+        assert run_cli(capsys, "rhoh", *args.split()) == serial
+        assert_no_child_left()
+        assert len(forked) == 1 and forked[0]
+
+    def test_probe_never_forks(self, capsys, monkeypatch):
+        # two levels at 256 bits are below the work floor even with a
+        # second CPU at hand
+        def no_fork():
+            raise AssertionError("rhoh forked")
+
+        monkeypatch.setattr(families, "_STORE", {})
+        monkeypatch.setattr(_split, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, _, _ = run_cli(capsys, "rhoh", "--family", "plane", "--h-from", "2", "--h-to", "3")
+        assert code == 0
 
     def test_precision_floor_reported(self, capsys):
         code, out, _ = run_cli(

@@ -27,7 +27,7 @@ from protek import (
 )
 from protek import _split, counting, families
 from protek.series import compose_phi
-from conftest import catalan, weight_vectors
+from conftest import assert_no_child_left, catalan, split_on, weight_vectors
 
 
 BUILTINS = ("plane", "binary", "pruned-binary", "cayley", "riordan", "complete-binary")
@@ -296,28 +296,6 @@ def assert_full_tail_sum(f, n):
 # ---------------------------------------------------------------------------
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def split_on(monkeypatch, cpus):
-    """Split every prefetch among ``cpus`` shares; returns the list that
-    records the levels of each forked child."""
-    forked = []
-    fork_worker = _split._fork_worker
-
-    def recording(fn, items):
-        forked.append(list(items))
-        return fork_worker(fn, items)
-
-    monkeypatch.setattr(families, "_STORE", {})
-    monkeypatch.setattr(_split, "_SPLIT_WORK_FLOOR", 0)
-    monkeypatch.setattr(_split, "_cpus", lambda: cpus)
-    monkeypatch.setattr(_split, "_fork_worker", recording)
-    return forked
-
-
 def stored_y0(f):
     return {
         key[2]: column
@@ -478,7 +456,6 @@ class TestSplitLevels:
             with contextlib.redirect_stdout(io.StringIO()):
                 for argv in (
                     ["oracle", "--family", "plane", "--nmax", "6"],
-                    ["rhoh", "--family", "plane", "--h-from", "2", "--h-to", "3"],
                     ["constants", "--family", "cayley"],
                 ):
                     assert protek.cli.main(argv) == 0
