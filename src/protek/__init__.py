@@ -22,7 +22,6 @@ from .asymptotics import (
     two_point_predictor,
 )
 from .counting import (
-    CdfTable,
     ProtectionSeriesSet,
     bounded_count,
     cdf_exact,

@@ -56,13 +56,11 @@ def solve_tau_rho(
     """Solve Phi(tau) = tau*Phi'(tau) below the radius; rho = tau/Phi(tau).
 
     H(t) = t*Phi'(t) - Phi(t) has H(0) = -1 and derivative t*Phi''(t) > 0,
-    so the root is bracketed by scanning a geometric grid upward and then
-    polished by Newton with a bisection safeguard.  The scan reads the sign
-    of H at 64 bits and confirms the bracket at full precision; when that
-    check fails it scans again at full precision.  The grid ends just
-    below the radius, or for entire Phi at the first of 1e6, 2e6, 4e6, ...
-    where H > 0 (H(t) -> +inf once some w_j > 0 at j >= 2).  If the scan
-    finds no sign change, the family has no tau and NoTau is raised.
+    so the root is bracketed by bisecting a geometric grid of 121 points
+    and then polished by Newton with a bisection safeguard.  The grid ends
+    just below the radius, or for entire Phi at the first of 1e6, 2e6,
+    4e6, ... where H > 0 (H(t) -> +inf once some w_j > 0 at j >= 2).  If H
+    is not positive there, the family has no tau and NoTau is raised.
     """
     check_int("precision_bits", precision_bits, MIN_PRECISION_BITS)
     with mp.workprec(precision_bits + _GUARD_BITS):
@@ -70,42 +68,33 @@ def solve_tau_rho(
             phi, dphi = f.phi_derivs(t, 1)
             return t * dphi - phi
 
-        if math.isinf(f.radius):
-            hi_cap = mp.mpf(10) ** 6
-            # the bound only keeps a malformed family from looping forever
-            for _ in range(1 << 14):
-                if big_h(hi_cap) > 0:
-                    break
-                hi_cap *= 2
+        entire = math.isinf(f.radius)
+        hi_cap = mp.mpf(10) ** 6 if entire else mp.mpf(f.radius) * (1 - mp.mpf(10) ** -6)
+        # one try below the radius; an entire Phi doubles the cap while
+        # H <= 0, and the bound only keeps a malformed family from looping
+        # forever
+        for _ in range(1 << 14 if entire else 1):
+            if big_h(hi_cap) > 0:
+                break
+            hi_cap *= 2
         else:
-            hi_cap = mp.mpf(f.radius) * (1 - mp.mpf(10) ** -6)
-
-        def scan(positive):
-            lo = mp.mpf(0)
-            for k in range(120, -1, -1):
-                t = hi_cap * mp.mpf(2) ** (-k)
-                if positive(t):
-                    return lo, t
-                lo = t
-            return None
-
-        # H is increasing, so one sign change read at 64 bits and confirmed
-        # at full precision is the bracket the full-precision scan finds
-        bracket = scan(lambda t: _coarse_positive(big_h, t))
-        if (
-            bracket is None
-            or not big_h(bracket[1]) > 0
-            or (bracket[0] > 0 and big_h(bracket[0]) > 0)
-        ):
-            bracket = scan(lambda t: big_h(t) > 0)
-        if bracket is None:
             raise NoTau(
                 f"{f.name}: t*Phi'(t) - Phi(t) has no sign change below the "
                 f"radius of convergence; the family lacks the structural "
                 f"point tau and is not analyzable here"
             )
 
-        lo, hi = bracket
+        # H is increasing: bisect on k over the grid hi_cap*2^-k, k = 0..120,
+        # keeping H(grid hi_k) > 0 >= H(grid lo_k); k = 121 stands for t = 0
+        hi_k, lo_k = 0, 121
+        while lo_k - hi_k > 1:
+            k = (hi_k + lo_k) // 2
+            if big_h(mp.ldexp(hi_cap, -k)) > 0:
+                hi_k = k
+            else:
+                lo_k = k
+        lo = mp.ldexp(hi_cap, -lo_k) if lo_k <= 120 else mp.mpf(0)
+        hi = mp.ldexp(hi_cap, -hi_k)
         t = (lo + hi) / 2
         step_target = mp.mpf(2) ** (-(precision_bits + 10))
         for _ in range(400):
@@ -128,13 +117,6 @@ def solve_tau_rho(
         tau = t
         rho = tau / f.phi_derivs(tau, 0)[0]
         return tau, rho
-
-
-def _coarse_positive(big_h, t) -> bool:
-    """Whether big_h(t) > 0, evaluated at 64 bits: the bracket scan of
-    solve_tau_rho reads only this sign, at up to 121 grid points."""
-    with mp.workprec(64):
-        return big_h(t) > 0
 
 
 @dataclass(frozen=True)
@@ -317,6 +299,15 @@ def cdf_asymptotic(c: FamilyConstants, n: int, h: int) -> mp.mpf:
         return mp.exp(exponent)
 
 
+def _check_d(c: FamilyConstants) -> None:
+    """Both limit laws scale by log(d); d = 1 leaves no scale."""
+    if not c.d > 1:
+        raise InvalidArgument(
+            f"{c.family}: d = {mp.nstr(c.d, 17)} at {c.precision_bits} bits, "
+            f"but the limit laws need d > 1; more bits may separate d from 1"
+        )
+
+
 def default_hmax(c: FamilyConstants, n: int) -> int:
     """Largest h worth tabulating next to :func:`cdf_asymptotic` by default.
 
@@ -326,6 +317,7 @@ def default_hmax(c: FamilyConstants, n: int) -> int:
     are taken at 53 bits, so every precision of c gives the same cap.
     """
     check_int("n", n, 1)
+    _check_d(c)
     with mp.workprec(53):
         ln_ratio = mp.log(max(n, 2)) / mp.log(c.d)
         if c.regime == "exponential":
@@ -386,6 +378,7 @@ def expectation_asymptotic(c: FamilyConstants, n: int) -> mp.mpf:
             f"{c.family}: the expectation formula applies to the exponential "
             f"regime only (w1 != 0)"
         )
+    _check_d(c)
     with mp.workprec(c.precision_bits + _GUARD_BITS):
         ln_d = mp.log(c.d)
         log_d_n = mp.log(n) / ln_d

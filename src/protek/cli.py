@@ -68,6 +68,9 @@ def _emit(text: str, out_path):
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
+    except OSError as exc:
+        # name the target, not the pid-stamped temporary file
+        raise OSError(exc.errno, exc.strerror, out_path) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

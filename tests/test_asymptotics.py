@@ -1,3 +1,4 @@
+import math
 import os
 import re
 from dataclasses import fields, replace
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protek import (
     BUILTIN_NAMES,
@@ -32,7 +35,7 @@ from protek import (
 from protek import _split, asymptotics, families
 from protek.asymptotics import _GUARD_BITS, _predictor_round, _rho_h_system
 from protek.textfmt import fraction_to_mpf
-from conftest import assert_no_child_left, split_on
+from conftest import assert_no_child_left, split_on, weight_vectors
 
 ALL_BUILTINS = ("plane", "binary", "pruned-binary", "cayley", "riordan")
 
@@ -96,38 +99,32 @@ class TestTauRho:
             assert close(tau / target, 1, mp.mpf(10) ** -50)
 
     @pytest.mark.parametrize("bits", (64, 256, 1024))
-    @pytest.mark.parametrize("name", ALL_BUILTINS + ("1,1/2,1/3", "1,0,1/6,1/10", "1,0,1/10**13"))
-    def test_coarse_scan_keeps_every_bit(self, name, bits, monkeypatch):
-        # a coarse sign that is always wrong, never positive or always
-        # positive falls back to the full-precision scan, and a coarse sign
-        # read at full precision is that scan: each gives the same bits
+    @pytest.mark.parametrize(
+        "name", ALL_BUILTINS + ("1,1/2,1/3", "1,0,1/6,1/10", "1,0,1/10**13", "1,0,10**80")
+    )
+    def test_bracket_is_the_linear_scan_bracket(self, name, bits):
+        # 1,0,10**80 has H > 0 at every grid point, so its bracket starts at 0
         f = family_of(name)
-        expected = [x._mpf_ for x in solve_tau_rho(f, bits)]
-        for sign in (
-            lambda big_h, t: not big_h(t) > 0,
-            lambda big_h, t: False,
-            lambda big_h, t: True,
-            lambda big_h, t: big_h(t) > 0,
-        ):
-            monkeypatch.setattr(asymptotics, "_coarse_positive", sign)
-            assert [x._mpf_ for x in solve_tau_rho(f, bits)] == expected
+        assert _first_newton_point(f, bits)._mpf_ == _linear_scan_midpoint(f, bits)._mpf_
 
-    def test_no_tau_survives_a_wrong_coarse_sign(self, monkeypatch):
-        monkeypatch.setattr(asymptotics, "_coarse_positive", lambda big_h, t: True)
-        with pytest.raises(NoTau):
-            solve_tau_rho(_subcritical_family())
+    @settings(max_examples=25, deadline=None)
+    @given(weights=weight_vectors(), bits=st.sampled_from((64, 256)))
+    def test_bracket_is_the_linear_scan_bracket_for_any_weights(self, weights, bits):
+        f = make_polynomial(weights)
+        assert _first_newton_point(f, bits)._mpf_ == _linear_scan_midpoint(f, bits)._mpf_
 
-    def test_bracket_is_read_at_64_bits(self, plane):
-        # at full precision the scan only confirms its two bracket ends
-        calls = []
+    def test_bracket_takes_at_most_eight_values_of_h(self, plane):
+        # every value of H is read at full precision
+        precs = []
 
         def phi_derivs(t, m=0):
-            calls.append((m, mp.mp.prec))
+            if m == 1:
+                precs.append(mp.mp.prec)
             return plane.phi_derivs(t, m)
 
         solve_tau_rho(replace(plane, phi_derivs=phi_derivs), 1024)
-        assert calls.count((1, 64)) > 10
-        assert calls.count((1, 1024 + _GUARD_BITS)) == 2
+        assert 0 < len(precs) <= 8
+        assert set(precs) == {1024 + _GUARD_BITS}
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_defining_identities(self, name):
@@ -138,6 +135,43 @@ class TestTauRho:
             assert abs(rho * f.phi_derivs(tau, 1)[1] - 1) < tol
             assert abs(rho * f.phi_derivs(tau, 0)[0] - tau) < tol
             assert tau > rho > 0
+
+
+def _first_newton_point(f: WeightFamily, bits: int):
+    # solve_tau_rho's first phi_derivs(t, 2) call is at t = (lo + hi)/2 of
+    # its bracket
+    points = []
+
+    def phi_derivs(t, m=0):
+        if m == 2:
+            points.append(t)
+        return f.phi_derivs(t, m)
+
+    solve_tau_rho(replace(f, phi_derivs=phi_derivs), bits)
+    return points[0]
+
+
+def _linear_scan_midpoint(f: WeightFamily, bits: int):
+    # reference bracket: scan the grid hi_cap*2^-k upward from k = 120 to
+    # the first point where H > 0; the point before it, or 0, is lo
+    with mp.workprec(bits + _GUARD_BITS):
+        def big_h(t):
+            phi, dphi = f.phi_derivs(t, 1)
+            return t * dphi - phi
+
+        if math.isinf(f.radius):
+            hi_cap = mp.mpf(10) ** 6
+            while not big_h(hi_cap) > 0:
+                hi_cap *= 2
+        else:
+            hi_cap = mp.mpf(f.radius) * (1 - mp.mpf(10) ** -6)
+        lo = mp.mpf(0)
+        for k in range(120, -1, -1):
+            hi = hi_cap * mp.mpf(2) ** (-k)
+            if big_h(hi) > 0:
+                return (lo + hi) / 2
+            lo = hi
+        raise AssertionError("no sign change on the grid")
 
 
 def _subcritical_family() -> WeightFamily:

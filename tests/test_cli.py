@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -621,17 +624,32 @@ class TestArgumentValidation:
         assert message in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ("cdf", "expect"))
+    def test_d_that_rounds_to_one_exits_one(self, capsys, command):
+        # zeta = 1 - 2e-400 rounds to 1 at 256 bits, so log(d) is 0 there
+        argv = [command, "--weights", "1,1e400,1", "--n", "5"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "protek", *argv], env=env, capture_output=True, text=True
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+        assert "d = 1.0 at 256 bits" in run.stderr
+        assert run_cli(capsys, *argv, "--prec", "2000")[0] == 0
+
 
 class TestOutPath:
     def test_unwritable_target_leaves_no_file(self, capsys, tmp_path):
         argv = ["expect", "--family", "plane", "--n", "4", "--out"]
-        code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x.csv"))
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, *argv, str(target))
         assert (code, out) == (1, "")
-        assert err.startswith("error: ")
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
         # the target is a directory: the temporary file is written, then removed
         (tmp_path / "dir").mkdir()
         code, _, err = run_cli(capsys, *argv, str(tmp_path / "dir"))
-        assert code == 1 and err.startswith("error: ")
+        assert code == 1
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path / 'dir'}'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
     def test_writes_only_the_target(self, capsys, tmp_path):
