@@ -54,9 +54,6 @@ from .oracle import (
     ENUMERATION_CAP,
     OracleDistribution,
     OracleReport,
-    OrderedTree,
-    enumerate_trees,
-    max_protection,
     oracle_check,
     oracle_distribution,
 )

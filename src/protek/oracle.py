@@ -20,16 +20,16 @@ still visited and counted once.
 
 The weight prod_v w_{d(v)} depends only on the outdegree multiset, so
 trees are counted in plain ints per class (maximum protection, outdegree
-multiset) and each class costs one Fraction product at the end.  Nothing
-here uses the generating-function machinery, which makes this module an
-independent oracle for it.
+multiset).  Each class is then weighed in ints, over the lcm L of the
+weight denominators, and each maximum protection value becomes one
+Fraction, its total over L^n.  Nothing here uses the generating-function
+machinery, which makes this module an independent oracle for it.
 
-``OrderedTree``, ``enumerate_trees`` and ``max_protection`` give the same
-definition on explicit trees.
+``oracle_check`` compares these weights with ``bounded_count``.  It runs
+the sizes largest first, so each level of the series side is solved once.
 
 Sizes are ints from 1 to ENUMERATION_CAP: a bool, a non-int or a size
 below 1 raises InvalidArgument, and a size above the cap CapExceeded.
-Every check runs at the call, ``enumerate_trees`` included.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from math import lcm
+from typing import Dict, Optional, Tuple
 
 from .counting import bounded_count
 from .errors import CapExceeded, check_int
@@ -50,97 +51,6 @@ def _check_size(name: str, n) -> None:
     check_int(name, n, 1)
     if n > ENUMERATION_CAP:
         raise CapExceeded(f"{name} = {n} exceeds the enumeration cap {ENUMERATION_CAP}")
-
-
-class OrderedTree:
-    """Rooted tree with an ordered tuple of subtrees."""
-
-    __slots__ = ("children",)
-
-    def __init__(self, children: Iterable["OrderedTree"] = ()):
-        self.children = tuple(children)
-
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
-    def outdegrees(self) -> Iterator[int]:
-        yield len(self.children)
-        for c in self.children:
-            yield from c.outdegrees()
-
-    def __repr__(self) -> str:
-        return f"OrderedTree(size={self.size()})"
-
-
-def _tree_from_word(word: Tuple[int, ...]) -> OrderedTree:
-    pos = 0
-
-    def build() -> OrderedTree:
-        nonlocal pos
-        d = word[pos]
-        pos += 1
-        return OrderedTree(tuple(build() for _ in range(d)))
-
-    return build()
-
-
-def _words(n: int, allowed: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    word: List[int] = []
-
-    def rec(i: int, s: int) -> Iterator[Tuple[int, ...]]:
-        # i vertices placed so far, s = sum of (d_j - 1)
-        remaining = n - i
-        for d in allowed:
-            ns = s + d - 1
-            if remaining == 1:
-                if ns == -1:
-                    word.append(d)
-                    yield tuple(word)
-                    word.pop()
-                continue
-            # keep the walk nonnegative and low enough to finish at -1
-            if ns < 0 or ns > remaining - 2:
-                continue
-            word.append(d)
-            yield from rec(i + 1, ns)
-            word.pop()
-
-    return rec(0, 0)
-
-
-def enumerate_trees(
-    n: int, allowed_degrees: Optional[Iterable[int]] = None
-) -> Iterator[OrderedTree]:
-    """All ordered rooted trees on n vertices with outdegrees in the
-    allowed set, each exactly once, in lexicographic word order.
-
-    The arguments are checked at the call; the trees are built lazily."""
-    _check_size("n", n)
-    if allowed_degrees is None:
-        allowed = tuple(range(n))
-    else:
-        degrees = set(allowed_degrees)
-        for d in degrees:
-            check_int("an outdegree", d, 0)
-        allowed = tuple(sorted(degrees))
-    return map(_tree_from_word, _words(n, allowed))
-
-
-def max_protection(tree: OrderedTree) -> int:
-    """Largest protection number among the vertices of the tree."""
-    best = 0
-
-    def protection(v: OrderedTree) -> int:
-        nonlocal best
-        if not v.children:
-            return 0
-        p = 1 + min(protection(c) for c in v.children)
-        if p > best:
-            best = p
-        return p
-
-    protection(tree)
-    return best
 
 
 @dataclass(frozen=True)
@@ -209,18 +119,25 @@ def _class_counts(n: int, allowed: Tuple[int, ...]) -> Counter:
 
 def oracle_distribution(f: WeightFamily, n: int) -> OracleDistribution:
     """Aggregate the weight prod_v w_{d(v)} of every n-vertex tree by its
-    maximum protection number, skipping zero-weight outdegrees upfront."""
+    maximum protection number, skipping zero-weight outdegrees upfront.
+
+    Each class weighs count * prod (L*w_i)^c_i in ints, with L the lcm of
+    the weight denominators; its n vertices carry one weight each, so every
+    total is divided by L^n once."""
     _check_size("n", n)
     allowed = tuple(j for j in range(n) if f.weight(j) != 0)
-    wcache = [f.weight(j) for j in allowed]
-    weights: Dict[int, Fraction] = {}
+    ws = [f.weight(j) for j in allowed]
+    L = lcm(*(w.denominator for w in ws))
+    scaled = [w.numerator * (L // w.denominator) for w in ws]
+    totals: Dict[int, int] = {}
     for key, count in _class_counts(n, allowed).items():
         code, m = divmod(key, n)
-        weight = Fraction(count)
-        for w in wcache:
+        for w in scaled:
             code, c = divmod(code, n + 1)
-            weight *= w ** c
-        weights[m] = weights.get(m, Fraction(0)) + weight
+            if c:
+                count *= w**c
+        totals[m] = totals.get(m, 0) + count
+    weights = {m: Fraction(t, L**n) for m, t in totals.items()}
     return OracleDistribution(family=f.name, n=n, weights=weights)
 
 
@@ -249,16 +166,20 @@ class OracleReport:
 
 def oracle_check(f: WeightFamily, nmax: int) -> OracleReport:
     """Exact comparison of cumulative oracle weights against the solved
-    series coefficients for every n <= nmax and every h <= n - 1."""
+    series coefficients for every n <= nmax and every h <= n - 1.
+
+    Sizes run largest first, so each level is solved once, at nmax, and
+    every smaller size reads its coefficient from the stored column."""
     _check_size("nmax", nmax)
-    rows = []
-    all_ok = True
-    for n in range(1, nmax + 1):
+    blocks = []
+    for n in range(nmax, 0, -1):
         dist = oracle_distribution(f, n)
+        block = []
         for h in range(0, n):
             lhs = dist.cumulative(h)
             rhs = bounded_count(f, h, n)
-            ok = lhs == rhs
-            all_ok = all_ok and ok
-            rows.append(OracleCheckRow(n, h, lhs, rhs, ok))
-    return OracleReport(family=f.name, nmax=nmax, rows=tuple(rows), passed=all_ok)
+            block.append(OracleCheckRow(n, h, lhs, rhs, lhs == rhs))
+        blocks.append(block)
+    rows = tuple(row for block in reversed(blocks) for row in block)
+    passed = all(row.ok for row in rows)
+    return OracleReport(family=f.name, nmax=nmax, rows=rows, passed=passed)

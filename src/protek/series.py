@@ -11,12 +11,18 @@ coefficient denominators, convolves the integers schoolbook-style in
 O(N^2), and divides once per output coefficient.  Truncation orders stay
 in the low hundreds everywhere in this package, so nothing faster than
 schoolbook is needed.
+
+``compose_phi`` evaluates Phi(inner) by Horner's rule on integers over a
+single denominator.  It starts at degree order // v, v the valuation of
+the inner series, because every higher power of inner vanishes through
+the order, and it cancels the common factor of the accumulator once per
+step.  Only the result becomes Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
@@ -152,10 +158,19 @@ def compose_phi(phi_coeffs: PhiCoeffs, inner: TruncatedSeries) -> TruncatedSerie
 
     ``phi_coeffs`` supplies the coefficients of Phi, either as a sequence
     (missing entries count as 0) or as a callable j -> coefficient.  Phi
-    may have infinitely many nonzero coefficients; because the inner
-    series must have no constant term, only indices 0..order contribute,
-    and the result equals the Horner evaluation of the degree-``order``
-    truncation of Phi at ``inner``.
+    may have infinitely many nonzero coefficients.  The inner series must
+    have no constant term; with valuation v, inner^j vanishes below
+    x^(order+1) once j*v > order, so only c_0..c_top with
+    top = order // v contribute (top = 0 for the zero series), and the
+    result equals the Horner evaluation of that truncation of Phi.
+
+    Horner runs on integers: the accumulator is ``b / scale``, inner is
+    scaled once to integers over its denominator d, and every c_j over q,
+    the lcm of the denominators of c_0..c_top.  Each step convolves from
+    index v, multiplies ``scale`` by d, adds c_j and cancels the gcd of
+    ``scale // q`` and every ``b``, so ``scale`` stays a multiple of q and
+    does not grow like d^top.  Each coefficient becomes a Fraction once,
+    at the end.
     """
     if inner[0] != 0:
         raise ValuationError(
@@ -163,17 +178,25 @@ def compose_phi(phi_coeffs: PhiCoeffs, inner: TruncatedSeries) -> TruncatedSerie
             "infinite coefficient stream is only defined at valuation >= 1"
         )
     n = inner.order
+    s, d = _scaled(inner._coeffs)
+    v = next((i for i, c in enumerate(s) if c), 0)
+    top = n // v if v else 0
     if callable(phi_coeffs):
-        get = phi_coeffs
+        cs = [_coerce(phi_coeffs(j)) for j in range(top + 1)]
     else:
-        seq = phi_coeffs
-
-        def get(j: int):
-            return seq[j] if j < len(seq) else 0
-
-    acc = TruncatedSeries.constant(get(n), n)
-    for j in range(n - 1, -1, -1):
-        # adding the constant get(j) changes coefficient 0 alone
-        c0, *rest = (acc * inner)._coeffs
-        acc = TruncatedSeries((c0 + _coerce(get(j)), *rest))
-    return acc
+        cs = [_coerce(c) for c in phi_coeffs[: top + 1]]
+        cs += [Fraction(0)] * (top + 1 - len(cs))
+    q = lcm(*(c.denominator for c in cs))
+    scale = q
+    b = [cs[top].numerator * (q // cs[top].denominator)] + [0] * n
+    for j in range(top - 1, -1, -1):
+        b = [0] * v + [
+            sum(map(mul, s[v : m + 1], b[m - v :: -1])) for m in range(v, n + 1)
+        ]
+        scale *= d
+        b[0] += cs[j].numerator * (scale // cs[j].denominator)
+        g = gcd(scale // q, *b)
+        if g > 1:
+            scale //= g
+            b = [c // g for c in b]
+    return TruncatedSeries(Fraction(c, scale) for c in b)

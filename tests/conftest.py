@@ -1,10 +1,13 @@
 import os
 from fractions import Fraction
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
-from protek import OrderedTree, _split, families, make_builtin
+from protek import _split, families, make_builtin
+from protek.errors import check_int
+from protek.oracle import _check_size
 
 
 def catalan(n: int) -> int:
@@ -44,6 +47,115 @@ def split_on(monkeypatch, cpus):
     monkeypatch.setattr(_split, "_cpus", lambda: cpus)
     monkeypatch.setattr(_split, "_fork_worker", recording)
     return forked
+
+
+# Definition-level reference for the oracle: explicit trees, built from
+# their preorder outdegree words, and the maximum protection number read
+# from them one vertex at a time.
+
+
+class OrderedTree:
+    """Rooted tree with an ordered tuple of subtrees."""
+
+    __slots__ = ("children",)
+
+    def __init__(self, children: Iterable["OrderedTree"] = ()):
+        self.children = tuple(children)
+
+    def size(self) -> int:
+        return 1 + sum(c.size() for c in self.children)
+
+    def outdegrees(self) -> Iterator[int]:
+        yield len(self.children)
+        for c in self.children:
+            yield from c.outdegrees()
+
+    def __repr__(self) -> str:
+        return f"OrderedTree(size={self.size()})"
+
+
+def _tree_from_word(word: Tuple[int, ...]) -> OrderedTree:
+    pos = 0
+
+    def build() -> OrderedTree:
+        nonlocal pos
+        d = word[pos]
+        pos += 1
+        return OrderedTree(tuple(build() for _ in range(d)))
+
+    return build()
+
+
+def _words(n: int, allowed: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    word: List[int] = []
+
+    def rec(i: int, s: int) -> Iterator[Tuple[int, ...]]:
+        # i vertices placed so far, s = sum of (d_j - 1)
+        remaining = n - i
+        for d in allowed:
+            ns = s + d - 1
+            if remaining == 1:
+                if ns == -1:
+                    word.append(d)
+                    yield tuple(word)
+                    word.pop()
+                continue
+            # keep the walk nonnegative and low enough to finish at -1
+            if ns < 0 or ns > remaining - 2:
+                continue
+            word.append(d)
+            yield from rec(i + 1, ns)
+            word.pop()
+
+    return rec(0, 0)
+
+
+def enumerate_trees(
+    n: int, allowed_degrees: Optional[Iterable[int]] = None
+) -> Iterator[OrderedTree]:
+    """All ordered rooted trees on n vertices with outdegrees in the
+    allowed set, each exactly once, in lexicographic word order.
+
+    The arguments are checked at the call; the trees are built lazily."""
+    _check_size("n", n)
+    if allowed_degrees is None:
+        allowed = tuple(range(n))
+    else:
+        degrees = set(allowed_degrees)
+        for d in degrees:
+            check_int("an outdegree", d, 0)
+        allowed = tuple(sorted(degrees))
+    return map(_tree_from_word, _words(n, allowed))
+
+
+def max_protection(tree: OrderedTree) -> int:
+    """Largest protection number among the vertices of the tree."""
+    best = 0
+
+    def protection(v: OrderedTree) -> int:
+        nonlocal best
+        if not v.children:
+            return 0
+        p = 1 + min(protection(c) for c in v.children)
+        if p > best:
+            best = p
+        return p
+
+    protection(tree)
+    return best
+
+
+def per_tree_distribution(f, n):
+    """One Fraction product per explicit tree, classified by max_protection."""
+    allowed = [j for j in range(n) if f.weight(j) != 0]
+    out = {}
+    for t in enumerate_trees(n, allowed):
+        weight = Fraction(1)
+        for d in t.outdegrees():
+            weight *= f.weight(d)
+        m = max_protection(t)
+        out[m] = out.get(m, Fraction(0)) + weight
+    return out
 
 
 def leaf() -> OrderedTree:

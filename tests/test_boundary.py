@@ -13,7 +13,6 @@ from protek import (
     bounded_count,
     cdf_exact,
     default_hmax,
-    enumerate_trees,
     eta_sequence,
     expectation_exact,
     family_constants,
@@ -26,6 +25,7 @@ from protek import (
     solve_Y,
 )
 from protek.errors import check_int
+from conftest import enumerate_trees
 
 PLANE = make_builtin("plane")
 

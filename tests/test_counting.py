@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -107,6 +108,20 @@ class TestProtectionSystem:
         zero = TruncatedSeries.zero(order)
         for res in ps.residuals():
             assert res == zero
+
+    @pytest.mark.parametrize("name", ["plane", "cayley"])
+    def test_residuals_catch_one_wrong_coefficient(self, name):
+        h, order = 3, 16
+        ps = solve_protection_system(make_builtin(name), h, order)
+        for k in (0, 1, h):
+            column = list(ps.series[k])
+            valuation = next(i for i, c in enumerate(column) if c)
+            for i in (valuation, order):
+                wrong = column.copy()
+                wrong[i] += 1
+                series = (*ps.series[:k], TruncatedSeries(wrong), *ps.series[k + 1 :])
+                residuals = dataclasses.replace(ps, series=series).residuals()
+                assert any(c for r in residuals for c in r), (k, i)
 
     def test_series_nonincreasing_in_protection_level(self, plane):
         ps = solve_protection_system(plane, 4, 15)

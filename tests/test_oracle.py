@@ -8,18 +8,26 @@ from protek import (
     ENUMERATION_CAP,
     CapExceeded,
     InvalidArgument,
-    OrderedTree,
-    enumerate_trees,
     make_builtin,
     make_polynomial,
-    max_protection,
     oracle_check,
     oracle_distribution,
     solve_Y,
 )
 import protek.oracle as oracle_module
+from protek import counting, families
 from protek.oracle import _class_counts
-from conftest import catalan, complete_binary_tree, leaf, path_tree, tree_height
+from conftest import (
+    OrderedTree,
+    catalan,
+    complete_binary_tree,
+    enumerate_trees,
+    leaf,
+    max_protection,
+    path_tree,
+    per_tree_distribution,
+    tree_height,
+)
 
 
 class TestEnumeration:
@@ -94,19 +102,6 @@ class TestMaxProtection:
             assert oracle_distribution(plane, n).weights == per_tree_distribution(
                 plane, n
             )
-
-
-def per_tree_distribution(f, n):
-    """One Fraction product per explicit tree, classified by max_protection."""
-    allowed = [j for j in range(n) if f.weight(j) != 0]
-    out = {}
-    for t in enumerate_trees(n, allowed):
-        weight = Fraction(1)
-        for d in t.outdegrees():
-            weight *= f.weight(d)
-        m = max_protection(t)
-        out[m] = out.get(m, Fraction(0)) + weight
-    return out
 
 
 class TestDistribution:
@@ -242,6 +237,22 @@ class TestOracleCheck:
     def test_nmax_below_one_is_an_error(self, plane, nmax):
         with pytest.raises(InvalidArgument):
             oracle_check(plane, nmax)
+
+    def test_each_level_is_solved_once(self, plane, monkeypatch):
+        # largest size first: levels 1..nmax-2 are solved once, at nmax, and
+        # every smaller size reads the stored column; ascending sizes would
+        # make 45 solves
+        monkeypatch.setattr(families, "_STORE", {})
+        solve = counting._solve_system_raw
+        solved = []
+
+        def counted(f, h, order, **kwargs):
+            solved.append((h, order))
+            return solve(f, h, order, **kwargs)
+
+        monkeypatch.setattr(counting, "_solve_system_raw", counted)
+        assert oracle_check(plane, 11).passed
+        assert sorted(solved) == [(h, 11) for h in range(1, 10)]
 
     def test_mismatch_fails_the_gate(self, plane, monkeypatch):
         exact = oracle_module.bounded_count

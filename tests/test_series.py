@@ -132,6 +132,70 @@ def test_product_matches_schoolbook_fractions(pair):
     assert (TruncatedSeries(a) * TruncatedSeries(b)).coeffs == tuple(expected)
 
 
+def horner_by_hand(phi, degree, inner):
+    """Full-degree Horner of c_degree .. c_0 at ``inner`` on Fraction series,
+    one coefficient of Phi per step; ``phi`` maps j to c_j."""
+    order = inner.order
+    acc = TruncatedSeries.zero(order)
+    for j in range(degree, -1, -1):
+        acc = acc * inner + TruncatedSeries.constant(phi(j), order)
+    return acc
+
+
+def inv_factorial(j):
+    return Fraction(1, factorial(j))
+
+
+@st.composite
+def inner_series(draw, max_order=12):
+    """(order, valuation): a series with no constant term, of any valuation
+    from 1 to its order, or the zero series (valuation 0 here)."""
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    v = draw(st.integers(min_value=0, max_value=order))
+    coeffs = [Fraction(0)] * (order + 1)
+    if v:
+        coeffs[v] = draw(wide_fraction.filter(bool))
+        coeffs[v + 1 :] = draw(
+            st.lists(wide_fraction, min_size=order - v, max_size=order - v)
+        )
+    return TruncatedSeries(coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(inner_series(), st.lists(wide_fraction, min_size=1, max_size=16))
+def test_compose_skips_vanishing_powers_of_a_list(inner, phi):
+    expected = horner_by_hand(phi.__getitem__, len(phi) - 1, inner)
+    assert compose_phi(phi, inner) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(inner_series())
+def test_compose_skips_vanishing_powers_of_an_infinite_phi(inner):
+    expected = horner_by_hand(inv_factorial, inner.order, inner)
+    assert compose_phi(inv_factorial, inner) == expected
+
+
+@pytest.mark.parametrize("valuation", range(1, 13))
+def test_compose_at_every_valuation(valuation):
+    # 1 + x/2 + x^2/3 + ... from the valuation on, through order 12
+    inner = TruncatedSeries(
+        [Fraction(0)] * valuation
+        + [Fraction(1, i - valuation + 1) for i in range(valuation, 13)]
+    )
+    phi = [Fraction(1, 7919), Fraction(-3, 2), 0, Fraction(5, 6)] * 4
+    assert compose_phi(phi, inner) == horner_by_hand(phi.__getitem__, len(phi) - 1, inner)
+    assert compose_phi(inv_factorial, inner) == horner_by_hand(inv_factorial, 12, inner)
+
+
+@pytest.mark.parametrize("order", [0, 1, 12])
+def test_compose_at_the_zero_series_is_phi_at_zero(order):
+    zero = TruncatedSeries.zero(order)
+    assert compose_phi(inv_factorial, zero) == TruncatedSeries.constant(1, order)
+    assert compose_phi([Fraction(1, 2), 5], zero) == TruncatedSeries.constant(
+        Fraction(1, 2), order
+    )
+
+
 @settings(max_examples=40)
 @given(series_strategy(6), series_strategy(6))
 def test_truncation_consistency(a, b):
