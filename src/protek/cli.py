@@ -412,12 +412,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "rhoh" and args.h_to < args.h_from:
         parser.error("argument --h-to: must be >= --h-from")
+    # exact counts of large weights print with more than the 4300 digits
+    # that Python 3.11+ allows an int by default; 3.10 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         with mp.workprec(args.prec):
             return args.func(args)
     except (ProtekError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

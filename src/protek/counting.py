@@ -20,8 +20,8 @@ repeated full sweeps converge to.  Composition with Phi is streamed by
 one of two recurrences, one for every rational Phi = R + P/Q and one for
 e^t, keeping one solve at O(h * N^2) coefficient operations.
 
-Two windows cut that work, and a split of the levels cuts its wall time,
-without changing a coefficient:
+Three windows cut that work, and a split of the levels cuts its wall
+time, without changing a coefficient:
 
 * Upper window.  Counting needs only Y_{h,0}.  Column k feeds column
   k + 1 one order later, and column h feeds column 1, so for Y_{h,0}
@@ -34,8 +34,17 @@ without changing a coefficient:
   convolution at index v, and S^j, which has valuation j*v, starts at
   j*v.  Column k >= 1 has valuation at least k + 1, and in the
   double-exponential regime far more.
-* Level split.  The levels h of one CDF share nothing but Y, so
-  :func:`cdf_exact` first solves the levels missing from the store with
+* Linear tail.  Y_{h,k} falls short of the h-independent series
+  P_k = x*(Phi(P_{k-1}) - 1), P_0 = Y, by a difference D of valuation at
+  least h + 2.  Once 2h + 3 > N the terms x*D^2 vanish through order N,
+  so those levels solve a linear system whose pieces they all share:
+  :func:`_tail_y0` reads every one of them from one pass over
+  P_1, P_2, ... with a few products per level, instead of h + 1
+  composers each.  Single reads through :func:`bounded_count`, which the
+  oracle check uses, keep the windowed solve.
+* Level split.  The levels h of one CDF below the linear tail share
+  nothing but Y, so :func:`cdf_exact` first solves the levels missing
+  from the store with
   :func:`protek._split._fork_map`, which runs them on every CPU of the
   process's affinity mask, and stores every Y_{h,0} column before it
   reads a row.  The map stays in the calling process when os.fork is
@@ -66,8 +75,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add, mul
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from itertools import zip_longest
+from operator import add, mul, sub
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import PeriodMismatch, check_int
 from .families import WeightFamily, _memo, _stored, family_structure
@@ -109,7 +119,7 @@ class _RationalComposer:
 
     __slots__ = ("arg", "r", "p", "negq", "powers", "g", "out", "v")
 
-    def __init__(self, r: list, p: list, q: tuple, arg: list):
+    def __init__(self, r: list, p: list, q: list, arg: list):
         self.arg = arg
         degree = max(len(r), len(p), len(q), 2) - 1
         # powers[0] aliases the argument itself (S^1); higher powers own lists.
@@ -150,31 +160,51 @@ class _RationalComposer:
         return out[m]
 
 
+# Rows C(m, 0..m) of Pascal's triangle for the e^t kernel: every
+# _ExpComposer step and every binomial product of the linear tail reads
+# them.  A longer table replaces the list as a whole and no row changes
+# once made, so a thread never reads a row out of place.
+_PASCAL = [[1]]
+
+
+def _pascal(m: int) -> list:
+    """Row m of Pascal's triangle, C(m, 0) .. C(m, m) (read-only)."""
+    global _PASCAL
+    rows = _PASCAL
+    if len(rows) <= m:
+        rows = rows.copy()
+        while len(rows) <= m:
+            row = rows[-1]
+            rows.append([1, *map(add, row, row[1:]), 1])
+        _PASCAL = rows
+    return rows[m]
+
+
 class _ExpComposer:
     """Phi(t) = e^t on factorial-scaled coefficients S_j = j!*s_j.
 
     G' = S'G gives G_m = m!*g_m = sum_j C(m-1, j-1)*S_j*G_{m-j}, and
     coeff(m) = (m+1)!*[x^(m+1)] x*G = (m+1)*G_m.  The sum starts at the
-    valuation v of S.
+    valuation v of S, and the binomials come from the shared row m - 1 of
+    :func:`_pascal`.  e^t is its own derivative, so the same stream is
+    x*Phi'(S) too.
     """
 
-    __slots__ = ("arg", "out", "binom", "v")
+    __slots__ = ("arg", "out", "v")
 
     def __init__(self, arg: list):
         self.arg = arg
         self.out = [1]
-        self.binom = [1]  # C(m-1, j-1) for j = 1..m, at m = len(out)
         self.v = 1
 
     def coeff(self, m: int):
         out, arg = self.out, self.arg
         while len(out) <= m:
             mm = len(out)
-            binom = self.binom
             v = self.v = _valuation(arg, self.v, mm)
-            terms = map(mul, binom[v - 1 :], arg[v : mm + 1])  # empty while v > mm
+            # empty while v > mm
+            terms = map(mul, _pascal(mm - 1)[v - 1 :], arg[v : mm + 1])
             out.append(sum(map(mul, terms, out[mm - v :: -1])))
-            self.binom = [1, *map(add, binom, binom[1:]), 1]
         return (m + 1) * out[m]
 
 
@@ -190,17 +220,38 @@ def _scale(f: WeightFamily, n: int) -> int:
     return lcm(*(c.denominator for c in R + P)) ** n
 
 
-def _make_composer(f: WeightFamily, arg: list):
-    """Streams s_(m+1) * [x^(m+1)] x*Phi(S) from the scaled coefficients of S.
+def _make_composer(f: WeightFamily, arg: list, derivative: bool = False):
+    """Streams s_(m+1) * [x^(m+1)] x*Phi(S) from the scaled coefficients of S,
+    or x*Phi'(S) with ``derivative``.
 
     With s_n = L^n that is [x^m] of L*Phi at the scaled argument, so the
-    rational composer runs on L*R, L*P and Q.
+    rational composer runs on L*R, L*P and Q; Phi' = R' + (P'Q - PQ')/Q^2
+    runs on the same integer lists differentiated.
     """
     if f.rational is None:
         return _ExpComposer(arg)
     R, P, Q = f.rational
     L = _scale(f, 1)
-    return _RationalComposer([int(L * c) for c in R], [int(L * c) for c in P], Q, arg)
+    r, p, q = [int(L * c) for c in R], [int(L * c) for c in P], list(Q)
+    if derivative:
+        pq, qp = _poly_mul(_poly_deriv(p), q), _poly_mul(p, _poly_deriv(q))
+        numerator = [a - b for a, b in zip_longest(pq, qp, fillvalue=0)]
+        r, p, q = _poly_deriv(r), numerator or [0], _poly_mul(q, q)
+    return _RationalComposer(r, p, q, arg)
+
+
+def _poly_deriv(a: list) -> list:
+    """Coefficients of the derivative of the polynomial ``a``."""
+    return [j * c for j, c in enumerate(a)][1:]
+
+
+def _poly_mul(a: list, b: list) -> list:
+    """Coefficients of the product of the polynomials ``a`` and ``b``."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            out[i + j] += c * e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +314,132 @@ def _y0_coefficients(f: WeightFamily, h: int, order: int) -> list:
     )
 
 
+def _product(a: list, b: list, top: int, binomial: bool) -> list:
+    """Scaled coefficients 0..top of the product of two scaled series.
+
+    With s_n = L^n that is the plain convolution; with s_n = n! the term
+    a_i*b_(n-i) carries C(n, i).  Each sum runs only over the indices at
+    which both factors can be nonzero.
+    """
+    va, vb = _valuation(a, 0, len(a) - 1), _valuation(b, 0, len(b) - 1)
+    out = [0] * (top + 1)
+    for n in range(va + vb, min(top, len(a) + len(b) - 2) + 1):
+        lo, hi = max(va, n - len(b) + 1), min(n - vb, len(a) - 1)
+        terms = a[lo : hi + 1]
+        if binomial:
+            terms = map(mul, _pascal(n)[lo : hi + 1], terms)
+        out[n] = sum(map(mul, terms, b[n - lo :: -1]))
+    return out
+
+
+def _geometric(u: list, top: int, binomial: bool) -> list:
+    """Scaled coefficients 0..top of 1/(1 - U) for a scaled U with U(0) = 0.
+
+    G = 1 + U*G, and [x^n] U*G reads G only below n, so no step divides.
+    """
+    vu, g = _valuation(u, 0, len(u) - 1), [1]
+    for n in range(1, top + 1):
+        hi = min(n, len(u) - 1)
+        terms = u[vu : hi + 1]
+        if binomial:
+            terms = map(mul, _pascal(n)[vu : hi + 1], terms)
+        g.append(sum(map(mul, terms, g[n - vu :: -1])))
+    return g
+
+
+def _tail_y0(f: WeightFamily, hs: Iterable[int], order: int) -> Dict[int, list]:
+    """{h: scaled Y_{h,0} through ``order``} for levels h >= 1 with
+    2h + 3 > order, from one linear solve that all of them share.
+
+    With P_0 = Y, P_k = x*(Phi(P_{k-1}) - 1) and A_k = x*Phi'(P_{k-1}), the
+    difference D_k = P_k - Y_{h,k}, of valuation at least h + 2, obeys
+    D_0 = D_1 and, by Taylor's theorem at P_(k-1) and at P_h,
+
+        D_k = A_k*D_(k-1) + P_(h+1) - A_(h+1)*D_h + O(x*D^2)
+
+    for 1 <= k <= h.  The O(x*D^2) terms vanish through ``order`` once
+    2h + 3 > order, and the linear rest solves to
+
+        Y_{h,0} = Y - c/(1 - A_1),   c = P_{h+1}/(1 + A_{h+1}*K),
+        K = M_h/(1 - A_1) + S_h,
+
+    M_h = A_h...A_2 and S_h = 1 + A_h + A_h*A_(h-1) + ... + A_h...A_3
+    (M_1 = 1, S_1 = 0), so M_(h+1) = A_(h+1)*M_h and
+    S_(h+1) = 1 + A_(h+1)*S_h cost one product each per level.
+
+    Truncations, with h0 the lowest level and T0 = order - h0 - 2: c has
+    valuation at least h + 2, so every factor of it is needed only
+    through order - h - 2, and A_k only through T0.  P_k runs through
+    order - h0 - 1 + k, up to ``order``; once k > T0 its higher powers
+    vanish there, so P_k = x*w1*P_(k-1) and A_k = x*w1.  Only P_k for
+    k <= T0 is composed, and only the current P, A, M and S are kept.
+    """
+    hs = sorted(hs)
+    if not hs:
+        return {}
+    h0, binomial = hs[0], f.rational is None
+    t0 = order - h0 - 2
+    y = _y_coefficients(f, order)[: order + 1]
+    unit = _scale(f, 1)  # the scaled coefficient of x, and of x*w1 below
+    xw1 = 1 if binomial else int(unit * f.weight(1))  # e^t has w1 = 1
+    wanted, out = set(hs), {}
+    p, m, s = y[: order - h0], [1], [0]
+    for k in range(1, hs[-1] + 2):
+        top = min(order - h0 - 1 + k, order)  # P_k runs through top
+        if k <= t0:
+            comp = _make_composer(f, p)
+            new_p = [0] + [comp.coeff(n - 1) for n in range(1, top + 1)]
+            new_p[1] -= unit
+            if binomial:  # x*e^t = P_k + x
+                a = new_p[: t0 + 1]
+                a[1] += unit
+            else:
+                dcomp = _make_composer(f, p, derivative=True)
+                a = [0] + [dcomp.coeff(n) for n in range(t0)]
+            p = new_p
+        else:
+            if binomial:
+                p = [0] + [n * c for n, c in enumerate(p[:top], 1)]
+            else:
+                p = [0] + [xw1 * c for c in p[:top]]
+            a = [0, xw1]
+        if k == 1:
+            inv1 = _geometric(a, t0, binomial)  # 1/(1 - A_1)
+            continue
+        h = k - 1  # P_{h+1} and A_{h+1} are at hand, with M_h and S_h
+        if h in wanted:
+            ks = _product(m, inv1, order - h - 3, binomial)  # K
+            for n, e in enumerate(s[: len(ks)]):
+                ks[n] += e
+            ak = _product(a, ks, order - h - 2, binomial)
+            b_inv = _geometric([-e for e in ak], order - h - 2, binomial)
+            c = _product(p, b_inv, order, binomial)
+            out[h] = list(map(sub, y, _product(c, inv1, order, binomial)))
+        t = order - max(k, h0) - 3  # M_k and S_k serve levels >= k only
+        m = _product(a, m, t, binomial)
+        s = _product(a, s, t, binomial)
+        if s:
+            s[0] += 1
+    return out
+
+
 def _prefetch_y0(f: WeightFamily, hs: Iterable[int], order: int) -> None:
     """Store Y_{h,0} through ``order`` for every level h in ``hs`` that the
-    store lacks, solved on every CPU of the process (see _fork_map)."""
+    store lacks.
+
+    Levels with 2h + 3 > order come from the shared linear solve of
+    :func:`_tail_y0`, in the calling process.  Each lower level gets its
+    own windowed solve, and those are shared among every CPU of the
+    process (see _fork_map), priced by :func:`_y0_work`.
+    """
     from ._split import _fork_map
 
-    work = {h: _y0_work(h, order) for h in hs if _stored(f, ("Y0", h), order) is None}
-    columns = _fork_map(lambda h: _solve_system_raw(f, h, order, y0_only=True)[0], work)
+    missing = [h for h in hs if _stored(f, ("Y0", h), order) is None]
+    columns = _tail_y0(f, [h for h in missing if 2 * h + 3 > order], order)
+    work = {h: _y0_work(h, order) for h in missing if 2 * h + 3 <= order}
+    columns.update(
+        _fork_map(lambda h: _solve_system_raw(f, h, order, y0_only=True)[0], work)
+    )
     for h, column in columns.items():
         _memo(f, ("Y0", h), lambda column=column: column, order)
 
@@ -320,14 +490,16 @@ class ProtectionSeriesSet:
 
         Uses the generic Horner composition from the series module, a
         fully independent route from the streamed solver; every returned
-        series must be identically zero.
+        series must be identically zero.  The factor x reads Phi(Y_{h,k})
+        only through order - 1, so each column is composed at that order
+        and shifted by one: no composed coefficient goes unread.
         """
         x = TruncatedSeries.x(self.order)
         phi = self.family.weight
         out = [self.series[0] - (self.series[1] + x)]
-        phi_top = compose_phi(phi, self.series[self.h])
+        composed = [compose_phi(phi, s.truncate(self.order - 1)) for s in self.series]
         for k in range(1, self.h + 1):
-            rhs = x * (compose_phi(phi, self.series[k - 1]) - phi_top)
+            rhs = TruncatedSeries((0, *(composed[k - 1] - composed[self.h])))
             out.append(self.series[k] - rhs)
         return out
 

@@ -637,6 +637,27 @@ class TestArgumentValidation:
         assert "d = 1.0 at 256 bits" in run.stderr
         assert run_cli(capsys, *argv, "--prec", "2000")[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["expect", "--weights", "1,1e400,1", "--n", "17", "--prec", "2000"],
+            ["cdf", "--weights", "1,1e400,1", "--n", "17", "--hmax", "3", "--format", "json"],
+            ["oracle", "--weights", "1,1e400,1", "--nmax", "12"],
+        ),
+        ids=("expect", "cdf-json", "oracle"),
+    )
+    def test_exact_rationals_beyond_4300_digits_print(self, capsys, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "protek", *argv], env=env, capture_output=True, text=True
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert max(map(len, run.stdout.replace('"', ",").split(","))) > 4300
+        # main lifts the limit for its own run only
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert run_cli(capsys, *argv) == (0, run.stdout, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
 
 class TestOutPath:
     def test_unwritable_target_leaves_no_file(self, capsys, tmp_path):

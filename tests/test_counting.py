@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,43 @@ class TestProtectionSystem:
         for col, ref in zip(windowed, full):
             assert col == ref[: len(col)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(f=weight_families(), order=st.integers(2, 34), data=st.data())
+    def test_linear_tail_matches_windowed_solve(self, f, order, data):
+        tail = [h for h in range(1, order + 1) if 2 * h + 3 > order]
+        expected = serial_y0(f, tail, order)
+        assert counting._tail_y0(f, tail, order) == expected
+        # a subset truncates at its own lowest level
+        hs = data.draw(st.sets(st.sampled_from(tail), min_size=1))
+        assert counting._tail_y0(f, hs, order) == {h: expected[h] for h in hs}
+
+    @pytest.mark.parametrize("name", ("plane", "cayley"))
+    def test_linear_tail_reaches_no_lower_level(self, name):
+        # The linear system drops x*O(D^2), D of valuation h + 2, and the
+        # x^(2h+5) terms of the D_1 and Y_{h,h} equations cancel: the
+        # identity holds for order <= 2h + 5, one or two levels below the
+        # threshold 2h + 3 > order of _prefetch_y0, and no further.
+        f = make_builtin(name)
+        for order in range(6, 31):
+            for h in range(1, order):
+                got = counting._tail_y0(f, [h], order)[h]
+                ref = counting._solve_system_raw(f, h, order, y0_only=True)[0]
+                assert (got == ref) == (2 * h + 5 >= order), (order, h)
+
+    def test_prefetch_forks_only_levels_below_the_tail(self, plane, monkeypatch):
+        dealt = []
+
+        def fork_map(fn, work):
+            dealt.extend(work)
+            return {h: fn(h) for h in work}
+
+        monkeypatch.setattr(families, "_STORE", {})
+        monkeypatch.setattr(_split, "_fork_map", fork_map)
+        bounded_count(plane, 5, 30)  # a stored level is solved by neither route
+        counting._prefetch_y0(plane, range(1, 29), 30)
+        assert sorted(dealt) == [h for h in range(1, 29) if 2 * h + 3 <= 30 and h != 5]
+        assert stored_y0(plane) == serial_y0(plane, range(1, 29), 30)
+
     def test_longer_solve_replaces_cached_column(self, plane, monkeypatch):
         monkeypatch.setattr(families, "_STORE", {})
         key = (plane.cache_key, "Y0", 3)
@@ -225,6 +263,31 @@ class TestCdf:
         assert [r.h for r in rows] == list(range(counting._protection_bound(f, 31) + 1))
         assert rows[-1].p_exact == 1
         assert rows == cdf_exact(f, 31, hmax=30).rows[: len(rows)]
+
+
+def test_pascal_rows_are_right_under_threads(monkeypatch):
+    # every e^t composer of every thread reads the one shared table
+    monkeypatch.setattr(counting, "_PASCAL", [[1]])
+    start = threading.Barrier(8, timeout=60)
+    got = []
+
+    def read():
+        start.wait()
+        got.append([len(counting._pascal(m)) for m in range(400)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [list(range(1, 401))] * 8
+    assert counting._pascal(399) == [comb(399, j) for j in range(400)]
 
 
 def test_counting_imports_no_float_code():
@@ -351,12 +414,14 @@ class TestSplitLevels:
     @given(f=weight_families(), order=st.integers(3, 24), cpus=st.sampled_from((2, 3)))
     def test_columns_match_serial(self, f, order, cpus):
         levels = range(1, order - 1)
+        windowed = [h for h in levels if 2 * h + 3 <= order]
         with pytest.MonkeyPatch.context() as monkeypatch:
             forked = split_on(monkeypatch, cpus)
             counting._prefetch_y0(f, levels, order)
             assert_no_child_left()
-            # a single level stays with the caller, which stores it too
-            assert len(forked) == min(cpus, len(levels)) - 1
+            # only the windowed levels are dealt; a single one stays with
+            # the caller, which stores it and the linear tail too
+            assert len(forked) == max(min(cpus, len(windowed)) - 1, 0)
             assert stored_y0(f) == serial_y0(f, levels, order)
 
     def test_failed_child_is_solved_by_the_parent(self, plane, monkeypatch):
@@ -378,7 +443,8 @@ class TestSplitLevels:
     def test_error_of_a_child_level_is_raised_typed(self, plane, monkeypatch):
         solve = counting._solve_system_raw
         forked = split_on(monkeypatch, 2)
-        _, theirs = _split._deal({h: counting._y0_work(h, 30) for h in range(1, 20)}, 2)
+        windowed = [h for h in range(1, 20) if 2 * h + 3 <= 30]
+        _, theirs = _split._deal({h: counting._y0_work(h, 30) for h in windowed}, 2)
 
         def level_fails(f, h, order, y0_only=False):
             if h == theirs[0]:
