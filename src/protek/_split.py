@@ -7,12 +7,14 @@ marshal bytes, so every result is the same value the parent would have
 computed.
 
 The counting module imports this module on its first CDF or expectation,
-and the asymptotics module when the rhoh command prefetches its levels,
-so oracle and constants do not load it.  It uses ``os.fork`` rather than
-a process pool: a WeightFamily holds closures and cannot be pickled, and
-importing ``multiprocessing`` and ``concurrent.futures.process`` after
-``protek.cli`` added about 1.6 MiB of peak memory on Python 3.11, while
-``marshal`` and ``os`` are loaded at start-up.
+the asymptotics module when the rhoh command prefetches its levels, and
+the oracle module on every enumeration, which it splits into one part
+per CPU, so constants and the residual check do not load it.  It uses
+``os.fork`` rather than a process pool: a WeightFamily holds closures and
+cannot be pickled, and importing ``multiprocessing`` and
+``concurrent.futures.process`` after ``protek.cli`` added about 1.6 MiB of
+peak memory on Python 3.11, while ``marshal`` and ``os`` are loaded at
+start-up.
 """
 
 import marshal
@@ -23,7 +25,8 @@ import threading
 # For the level solves of the counting module, on a 2-CPU x86-64 Linux
 # machine (Python 3.11), one unit took about 100 ns of plane and 250 ns of
 # cayley solving, and a fork round trip about 3 ms, so the floor is 10 to
-# 25 ms of serial work.
+# 25 ms of serial work.  The oracle and the rho_h solves price their work
+# in the same unit.
 _SPLIT_WORK_FLOOR = 100_000
 
 

@@ -290,12 +290,22 @@ def family_constants(
 
 
 def cdf_asymptotic(c: FamilyConstants, n: int, h: int) -> mp.mpf:
-    """Regime-appropriate double-exponential CDF value in [0, 1]."""
+    """Regime-appropriate double-exponential CDF value in [0, 1].
+
+    An exponent of magnitude 2^precision_bits or more raises
+    InvalidArgument: it is known to less than one unit, so its exp has no
+    correct digit, and mpmath would take seconds to evaluate it."""
     with mp.workprec(c.precision_bits + _GUARD_BITS):
         if c.regime == "exponential":
             exponent = -c.kappa * n * c.d ** mp.mpf(-h)
         else:
             exponent = -c.kappa * n * c.d ** (-mp.mpf(c.r) ** h)
+        if mp.mag(exponent) > c.precision_bits:
+            raise InvalidArgument(
+                f"{c.family}, n = {n}, h = {h}: the limit law's exponent has "
+                f"magnitude 2^{mp.mag(exponent) - 1} or more, so its exp has no "
+                f"correct digit at {c.precision_bits} bits"
+            )
         return mp.exp(exponent)
 
 

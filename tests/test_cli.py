@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protek import NoConvergence, _split, asymptotics, cli, counting, families, oracle
 from protek.cli import FIGURE_PANELS, main
+from protek.families import BUILTIN_NAMES
 from conftest import assert_no_child_left, split_on
 
 
@@ -235,6 +242,20 @@ class TestCdfCommand:
         assert out == ""
         assert err.startswith("error: riordan: no trees of size 2 exist")
 
+    def test_exponent_beyond_the_precision_is_an_error(self, capsys):
+        # kappa is about 2^137042 here: the exponent -kappa*n is known to
+        # less than one unit, and its exp took minutes to evaluate and print
+        code, out, err = run_cli(
+            capsys, "cdf", "--weights", "1,2/7,3,1e400", "--n", "13", "--hmax", "0",
+            "--prec", "300",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: weights(1,2/7,3,")
+        assert err.endswith(
+            "n = 13, h = 0: the limit law's exponent has magnitude 2^137367 or more, "
+            "so its exp has no correct digit at 300 bits\n"
+        )
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "cdf", "--family", "riordan", "--n", "13")
         _, out2, _ = run_cli(capsys, "cdf", "--family", "riordan", "--n", "13")
@@ -388,6 +409,31 @@ class TestOracleCommand:
         assert out.startswith("n,h,oracle,series,match\n")
         assert "5,2,12/1,13/1,FAIL" in out.splitlines()
         assert err == "oracle mismatch at n=5, h=2: oracle=12, series=13\n"
+
+
+    @pytest.mark.parametrize(
+        "args",
+        ["--family plane --nmax 11", "--weights 1,1/2,1/3 --nmax 10 --format json"],
+    )
+    def test_split_and_serial_print_the_same_bytes(self, capsys, monkeypatch, args):
+        monkeypatch.setattr(families, "_STORE", {})
+        monkeypatch.setattr(_split, "_cpus", lambda: 1)
+        serial = run_cli(capsys, "oracle", *args.split())
+        forked = split_on(monkeypatch, 2)
+        assert run_cli(capsys, "oracle", *args.split()) == serial
+        assert_no_child_left()
+        assert forked == [[1]]
+
+    def test_probe_never_forks(self, capsys, monkeypatch):
+        # the 23 trees of at most five vertices are below the work floor
+        # even with a second CPU at hand
+        def no_fork():
+            raise AssertionError("oracle forked")
+
+        monkeypatch.setattr(_split, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, _, _ = run_cli(capsys, "oracle", "--family", "plane", "--nmax", "5")
+        assert code == 0
 
 
 class TestRhohCommand:
@@ -680,3 +726,70 @@ class TestOutPath:
         assert (code, out) == (0, "")
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
         assert (tmp_path / "x.csv").read_text() == stdout
+
+
+# Argv fuzzing: every argv the parser accepts, with builtins and weight
+# vectors of huge, tiny and zero entries, ends in exit 0, or in exit 1 with
+# one "error: " line (or, for rhoh, a row that is not ok), never in a
+# traceback.  Sizes stay small, so each case takes milliseconds and the
+# test a few seconds.
+ENTRIES = ("0", "1", "1/2", "2/7", "3", "1e400", "1e-400", "10000000000000",
+           "1/10000000000000")
+FAMILIES = st.one_of(
+    st.sampled_from(BUILTIN_NAMES).map(lambda name: ["--family", name]),
+    st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=4).map(
+        lambda tail: ["--weights", ",".join(["1", *tail])]
+    ),
+)
+PREC = st.sampled_from(((), ("--prec", "64"), ("--prec", "128"), ("--prec", "300")))
+FORMAT = st.sampled_from(((), ("--format", "json")))
+CASE_BUDGET_S = 10
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(("constants", "cdf", "expect", "oracle", "rhoh", "figure")))
+    if command == "figure":
+        argv = ["figure"]
+        if draw(st.booleans()):
+            argv += ["--family", draw(st.sampled_from(("plane", "riordan", "cayley", "binary")))]
+        sizes = draw(st.sets(st.sampled_from((20, 25, 7)), min_size=1))
+        argv += ["--n", ",".join(map(str, sorted(sizes)))]
+        if draw(st.booleans()):
+            argv += ["--hmax", str(draw(st.integers(0, 4)))]
+        return argv + list(draw(PREC))
+    argv = [command, *draw(FAMILIES)]
+    if command in ("cdf", "expect"):
+        argv += ["--n", str(draw(st.integers(-2, 14)))]
+    if command == "cdf" and draw(st.booleans()):
+        argv += ["--hmax", str(draw(st.integers(0, 6)))]
+    if command == "oracle":
+        argv += ["--nmax", str(draw(st.integers(1, 8)))]
+    if command == "rhoh":
+        low = draw(st.integers(-1, 6))
+        argv += ["--h-from", str(low), "--h-to", str(low + draw(st.integers(0, 3)))]
+    return argv + list(draw(PREC)) + list(draw(FORMAT))
+
+
+class TestArgvFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(argvs())
+    def test_exit_zero_or_one_typed_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if argv[0] == "figure":
+                argv = [*argv, "--out", os.path.join(tmp, "figs")]
+            started = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            elapsed = time.perf_counter() - started
+        assert elapsed < CASE_BUDGET_S, (argv, elapsed)
+        assert code in (0, 1), argv
+        if code == 0 or (argv[0] == "rhoh" and not err.getvalue()):
+            assert err.getvalue() == ""
+            assert code == 0 or "needs-more-precision" in out.getvalue() or (
+                "no-convergence" in out.getvalue()
+            )
+        else:
+            assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -535,11 +535,9 @@ class TestSplitLevels:
             from protek import make_builtin, solve_protection_system
             loaded = []
             with contextlib.redirect_stdout(io.StringIO()):
-                for argv in (
-                    ["oracle", "--family", "plane", "--nmax", "6"],
-                    ["constants", "--family", "cayley"],
-                ):
-                    assert protek.cli.main(argv) == 0
+                # the oracle splits its search through _split, so it is not
+                # among the commands that leave the module unloaded
+                assert protek.cli.main(["constants", "--family", "cayley"]) == 0
                 solve_protection_system(make_builtin("plane"), 3, 9).residuals()
                 loaded.append("protek._split" in sys.modules)
                 assert protek.cli.main(["cdf", "--family", "plane", "--n", "9"]) == 0

@@ -1,3 +1,5 @@
+import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,12 @@ from protek import (
     solve_Y,
 )
 import protek.oracle as oracle_module
-from protek import counting, families
+from protek import _split, counting, families
+from protek.errors import ProtekError
 from protek.oracle import _class_counts
 from conftest import (
     OrderedTree,
+    assert_no_child_left,
     catalan,
     complete_binary_tree,
     enumerate_trees,
@@ -26,6 +30,7 @@ from conftest import (
     max_protection,
     path_tree,
     per_tree_distribution,
+    split_on,
     tree_height,
 )
 
@@ -268,3 +273,105 @@ class TestOracleCheck:
         assert (first.n, first.h, first.ok) == (5, 2, False)
         assert first.series_coefficient == first.oracle_weight + 1
         assert [r for r in report.rows if not r.ok] == [first]
+
+
+def family_of(name):
+    return make_polynomial(name.split(",")) if "," in name else make_builtin(name)
+
+
+def support(f, nmax):
+    return tuple(j for j in range(nmax) if f.weight(j) != 0)
+
+
+class FailingPart(ProtekError):
+    pass
+
+
+class TestSplitSearch:
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize(
+        "name", ["plane", "cayley", "riordan", "binary", "1,1/2,1/3", "1,0,1/6,1/10"]
+    )
+    def test_parts_add_up_to_one_search(self, name, cpus, monkeypatch):
+        allowed = support(family_of(name), 11)
+        serial = oracle_module._part_counts(11, allowed, 0, 1)
+        forked = split_on(monkeypatch, cpus)
+        classes = oracle_module._tree_classes(11, allowed)
+        assert_no_child_left()
+        assert forked == [[part] for part in range(1, cpus)]
+        assert {n: dict(c) for n, c in classes.items()} == serial
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_every_tree_falls_to_one_part(self, parts):
+        # down to nmax = 1, where the suffixes are dealt at depth 0
+        for name in ("plane", "1,0,1/6,1/10"):
+            for nmax in range(1, 10):
+                allowed = support(family_of(name), nmax)
+                summed = {n: Counter() for n in range(1, nmax + 1)}
+                for part in range(parts):
+                    for n, sized in oracle_module._part_counts(nmax, allowed, part, parts).items():
+                        summed[n].update(sized)
+                whole = oracle_module._part_counts(nmax, allowed, 0, 1)
+                assert {n: dict(c) for n, c in summed.items()} == whole
+
+    def test_one_search_counts_every_size(self):
+        for name in ("plane", "riordan", "1,1/2,1/3", "1,0,1/6,1/10"):
+            f = family_of(name)
+            allowed = support(f, 10)
+            counts = oracle_module._part_counts(10, allowed, 0, 1)
+            trees = oracle_module._tree_counts(10, allowed)
+            for n in range(1, 11):
+                assert sum(counts[n].values()) == trees[n - 1]
+                assert trees[n - 1] == cycle_lemma_count(set(allowed), n)
+
+    def test_work_floor(self):
+        # the verify workload's nmax = 11 splits; the probe and binary at the
+        # cap stay in the calling process
+        def work(name, nmax):
+            return oracle_module._enumeration_work(nmax, support(family_of(name), nmax))
+
+        assert work("plane", 11) >= _split._SPLIT_WORK_FLOOR
+        assert work("cayley", 11) >= _split._SPLIT_WORK_FLOOR
+        assert work("plane", 5) < _split._SPLIT_WORK_FLOOR
+        assert work("binary", 13) < _split._SPLIT_WORK_FLOOR
+
+    def test_one_more_part_per_floor_of_work(self, plane, monkeypatch):
+        # 23714 trees at nmax = 11 are between one and two floors of work,
+        # so eight CPUs still make two parts
+        floor = _split._SPLIT_WORK_FLOOR
+        forked = split_on(monkeypatch, 8)
+        monkeypatch.setattr(_split, "_SPLIT_WORK_FLOOR", floor)
+        assert oracle_check(plane, 11).passed
+        assert_no_child_left()
+        assert forked == [[1]]
+
+    def test_failed_child_part_runs_in_the_parent(self, plane, monkeypatch):
+        parent = os.getpid()
+        part_counts = oracle_module._part_counts
+
+        def child_fails(*args):
+            if os.getpid() != parent:
+                raise FailingPart("child")
+            return part_counts(*args)
+
+        serial = oracle_check(plane, 11)
+        forked = split_on(monkeypatch, 3)
+        monkeypatch.setattr(oracle_module, "_part_counts", child_fails)
+        assert oracle_check(plane, 11) == serial
+        assert_no_child_left()
+        assert forked == [[1], [2]]
+
+    def test_error_of_a_part_is_raised_typed(self, plane, monkeypatch):
+        part_counts = oracle_module._part_counts
+
+        def part_fails(nmax, allowed, part, parts):
+            if part == 1:
+                raise FailingPart(f"part {part}")
+            return part_counts(nmax, allowed, part, parts)
+
+        forked = split_on(monkeypatch, 2)
+        monkeypatch.setattr(oracle_module, "_part_counts", part_fails)
+        with pytest.raises(FailingPart, match="part 1"):
+            oracle_distribution(plane, 11)
+        assert_no_child_left()
+        assert forked == [[1]]
