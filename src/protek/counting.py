@@ -55,15 +55,16 @@ time, without changing a coefficient:
 All solver arithmetic is on plain integers: the coefficient of x^n is
 held as s_n * [x^n], with s_n = L^n for a rational Phi = R + P/Q whose
 R and P have denominator lcm L (L = 1 for plane and riordan), and
-s_n = n! for e^t.  The public results are Fractions, formed once at the
-output; the CDF and the expectation divide two counts of the same size,
-so the scale cancels.  They can be re-checked against the generic Horner
-composition of the series module through
-:meth:`ProtectionSeriesSet.residuals`.
+s_n = n! for e^t.  Only :func:`_kernel` reads the family's tag ``phi``;
+a family without one raises InvalidArgument.  The public results are
+Fractions, formed once at the output; the CDF and the expectation divide
+two counts of the same size, so the scale cancels.  They can be
+re-checked against the generic Horner composition of the series module
+through :meth:`ProtectionSeriesSet.residuals`.
 
-The scaled columns of Y and of each Y_{h,0} are kept in the one results
-store of the families module; a stored column serves every order below
-its length, and a longer request replaces it.
+The kernel and the scaled columns of Y and of each Y_{h,0} are kept in
+the one results store of the families module; a stored column serves
+every order below its length, and a longer request replaces it.
 
 Sizes n >= 1, orders >= 1, levels h >= 0 (h >= 1 for the full system) and
 hmax >= 0 are checked by :func:`errors.check_int`: a bool, a non-int or a
@@ -79,7 +80,7 @@ from itertools import zip_longest
 from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import PeriodMismatch, check_int
+from .errors import InvalidArgument, PeriodMismatch, check_int
 from .families import WeightFamily, _memo, _stored, family_structure
 from .series import TruncatedSeries, compose_phi
 
@@ -208,16 +209,36 @@ class _ExpComposer:
         return (m + 1) * out[m]
 
 
-def _scale(f: WeightFamily, n: int) -> int:
-    """s_n: the solver holds s_n * [x^n] of every series as an int.
-
-    s_n = L^n for a rational Phi = R + P/Q, with L the lcm of the
-    denominators of R and P, and s_n = n! for e^t.
+def _kernel(f: WeightFamily) -> tuple:
+    """(L, binomial, lists, dlists), read from the tag of ``f`` once and
+    kept in the results store.  s_n = L^n, with L the lcm of the
+    denominators of R and P, or n! for e^t, where L = 1 and ``binomial``
+    says that every product of two scaled series carries binomials.
+    ``lists`` are the ints L*R, L*P and Q, and ``dlists`` those of
+    Phi' = R' + (P'Q - PQ')/Q^2; both are None for e^t, whose composer is
+    its own Phi' stream.  A family whose tag is None has only evaluators,
+    which serve the asymptotics but not counting.
     """
-    if f.rational is None:
-        return factorial(n)
-    R, P, _ = f.rational
-    return lcm(*(c.denominator for c in R + P)) ** n
+
+    def build() -> tuple:
+        if f.phi is None:
+            raise InvalidArgument(f"{f.name}: exact counting needs a tag for Phi")
+        if f.phi[0] == "exp":
+            return 1, True, None, None
+        R, P, Q = f.phi[1:]
+        L = lcm(*(c.denominator for c in R + P))
+        r, p, q = [int(L * c) for c in R], [int(L * c) for c in P], list(Q)
+        pq, qp = _poly_mul(_poly_deriv(p), q), _poly_mul(p, _poly_deriv(q))
+        numerator = [a - b for a, b in zip_longest(pq, qp, fillvalue=0)]
+        return L, False, (r, p, q), (_poly_deriv(r), numerator or [0], _poly_mul(q, q))
+
+    return _memo(f, ("kernel",), build)
+
+
+def _scale(f: WeightFamily, n: int) -> int:
+    """s_n: the solver holds s_n * [x^n] of every series as an int."""
+    unit, binomial, _, _ = _kernel(f)
+    return factorial(n) if binomial else unit**n
 
 
 def _make_composer(f: WeightFamily, arg: list, derivative: bool = False):
@@ -225,19 +246,11 @@ def _make_composer(f: WeightFamily, arg: list, derivative: bool = False):
     or x*Phi'(S) with ``derivative``.
 
     With s_n = L^n that is [x^m] of L*Phi at the scaled argument, so the
-    rational composer runs on L*R, L*P and Q; Phi' = R' + (P'Q - PQ')/Q^2
-    runs on the same integer lists differentiated.
+    rational composer runs on the kernel's integer lists.
     """
-    if f.rational is None:
-        return _ExpComposer(arg)
-    R, P, Q = f.rational
-    L = _scale(f, 1)
-    r, p, q = [int(L * c) for c in R], [int(L * c) for c in P], list(Q)
-    if derivative:
-        pq, qp = _poly_mul(_poly_deriv(p), q), _poly_mul(p, _poly_deriv(q))
-        numerator = [a - b for a, b in zip_longest(pq, qp, fillvalue=0)]
-        r, p, q = _poly_deriv(r), numerator or [0], _poly_mul(q, q)
-    return _RationalComposer(r, p, q, arg)
+    _, _, lists, dlists = _kernel(f)
+    lists = dlists if derivative else lists
+    return _RationalComposer(*lists, arg) if lists else _ExpComposer(arg)
 
 
 def _poly_deriv(a: list) -> list:
@@ -319,7 +332,7 @@ def _product(a: list, b: list, top: int, binomial: bool) -> list:
 
     With s_n = L^n that is the plain convolution; with s_n = n! the term
     a_i*b_(n-i) carries C(n, i).  Each sum runs only over the indices at
-    which both factors can be nonzero.
+    which both factors can be nonzero, and copies only those of b.
     """
     va, vb = _valuation(a, 0, len(a) - 1), _valuation(b, 0, len(b) - 1)
     out = [0] * (top + 1)
@@ -328,7 +341,7 @@ def _product(a: list, b: list, top: int, binomial: bool) -> list:
         terms = a[lo : hi + 1]
         if binomial:
             terms = map(mul, _pascal(n)[lo : hi + 1], terms)
-        out[n] = sum(map(mul, terms, b[n - lo :: -1]))
+        out[n] = sum(map(mul, terms, reversed(b[n - hi : n - lo + 1])))
     return out
 
 
@@ -377,32 +390,22 @@ def _tail_y0(f: WeightFamily, hs: Iterable[int], order: int) -> Dict[int, list]:
     hs = sorted(hs)
     if not hs:
         return {}
-    h0, binomial = hs[0], f.rational is None
+    h0, (unit, binomial, _, dlists) = hs[0], _kernel(f)
     t0 = order - h0 - 2
     y = _y_coefficients(f, order)[: order + 1]
-    unit = _scale(f, 1)  # the scaled coefficient of x, and of x*w1 below
-    xw1 = 1 if binomial else int(unit * f.weight(1))  # e^t has w1 = 1
+    x_w1 = [0, int(unit * f.weight(1))]  # scaled x*w1; unit is that of x
     wanted, out = set(hs), {}
     p, m, s = y[: order - h0], [1], [0]
     for k in range(1, hs[-1] + 2):
         top = min(order - h0 - 1 + k, order)  # P_k runs through top
         if k <= t0:
             comp = _make_composer(f, p)
-            new_p = [0] + [comp.coeff(n - 1) for n in range(1, top + 1)]
-            new_p[1] -= unit
-            if binomial:  # x*e^t = P_k + x
-                a = new_p[: t0 + 1]
-                a[1] += unit
-            else:
-                dcomp = _make_composer(f, p, derivative=True)
-                a = [0] + [dcomp.coeff(n) for n in range(t0)]
-            p = new_p
+            dcomp = _make_composer(f, p, derivative=True) if dlists else comp
+            p = [0] + [comp.coeff(n - 1) for n in range(1, top + 1)]
+            p[1] -= unit
+            a = [0] + [dcomp.coeff(n) for n in range(t0)]
         else:
-            if binomial:
-                p = [0] + [n * c for n, c in enumerate(p[:top], 1)]
-            else:
-                p = [0] + [xw1 * c for c in p[:top]]
-            a = [0, xw1]
+            p, a = _product(p, x_w1, top, binomial), x_w1
         if k == 1:
             inv1 = _geometric(a, t0, binomial)  # 1/(1 - A_1)
             continue

@@ -7,21 +7,22 @@ high-precision real evaluation of Phi and its derivatives (phi_derivs) and
 of Phi - 1 (phim1_eval), via mpmath at the caller's working precision, for
 the asymptotic machinery.
 
-Every family but cayley (e^t) has a rational Phi = R + P/Q, held as the
-coefficient tuples ``rational = (R, P, Q)`` with Q(0) = 1: plane
-((), (1,), (1, -1)) is 1/(1-t), riordan ((0, -1), (1,), (1, -1)) is
-1/(1-t) - t, binary aka complete-binary is 1 + t^2, pruned-binary is
-(1+t)^2, and every finite weight sequence given to :func:`make_polynomial`
-is ((), (w_0, ..., w_J), (1,)).  The weights, both evaluators, the radius
-and the cache key all follow from those coefficients.
+Each family here is named by a tag ``phi``: ("exp",) for cayley (e^t), or
+("rational", R, P, Q) for Phi = R + P/Q with Q(0) = 1.  Plane is
+("rational", (), (1,), (1, -1)), riordan ("rational", (0, -1), (1,),
+(1, -1)), binary aka complete-binary 1 + t^2, pruned-binary (1+t)^2, and
+a finite weight sequence given to :func:`make_polynomial`
+("rational", (), (w_0, ..., w_J), (1,)).  :func:`_family` derives the
+weights, both evaluators, the radius, the support hint and the cache key
+from the tag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 import mpmath as mp
 
@@ -29,6 +30,7 @@ from .errors import InvalidArgument, InvalidWeights, UnknownFamily
 from .textfmt import fraction_to_mpf
 
 WeightLike = Union[int, str, Fraction]
+_PATHS_ONLY = "need w_j > 0 for some j >= 2, otherwise only paths exist"
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +41,10 @@ class WeightFamily:
     ``phi_derivs(t, m)`` returns [Phi(t), Phi'(t), ..., Phi^(m)(t)] at the
     real point t as mpmath floats, and ``phim1_eval(t)`` returns Phi(t) - 1
     computed without the cancellation of subtracting 1 from Phi(t) near
-    t = 0.  ``rational`` is (R, P, Q) with Phi = R + P/Q when Phi is
-    rational, and None for e^t.  Instances are immutable and safe to share
-    between threads.
+    t = 0.  ``phi`` is the tag that names Phi (see the module docstring),
+    or None for a family built by hand from its evaluators alone: the
+    asymptotics serve it, and exact counting raises InvalidArgument.
+    Instances are immutable and safe to share between threads.
     """
 
     name: str
@@ -51,7 +54,7 @@ class WeightFamily:
     radius: float                      # math.inf when Phi is entire
     support_hint: frozenset
     cache_key: str
-    rational: Optional[Tuple[tuple, tuple, tuple]] = None
+    phi: Optional[tuple] = None
 
 
 class FamilyStructure(NamedTuple):
@@ -67,11 +70,13 @@ def family_structure(f: WeightFamily) -> FamilyStructure:
     holds, so gcd conventions for index 0 never enter.  Every size n with
     nonzero total weight y_n satisfies n = 1 (mod D), but not every such n
     has y_n != 0: with w1 = 0 there is no tree of size 2 even when D = 1.
+    Raises InvalidWeights when the support hint shows no index >= 2.
     """
     support = sorted(j for j in f.support_hint if j > 0 and f.weight(j) != 0)
-    w1_zero = f.weight(1) == 0
-    r = next(j for j in support if j >= 2)
-    return FamilyStructure(w1_zero, r, math.gcd(*support))
+    r = next((j for j in support if j >= 2), None)
+    if r is None:
+        raise InvalidWeights(_PATHS_ONLY)
+    return FamilyStructure(f.weight(1) == 0, r, math.gcd(*support))
 
 
 def _to_fraction(value: WeightLike, index: int) -> Fraction:
@@ -87,8 +92,9 @@ def _exact(c: Fraction):
     return c.numerator if c.denominator == 1 else fraction_to_mpf(c)
 
 
-def _rational_family(R, P, Q, name: str) -> WeightFamily:
-    """The family with Phi = R + P/Q.
+def _rational_parts(R, P, Q, name: str):
+    """The tag, weight, both evaluators and radius of Phi = R + P/Q; the
+    tag holds R and P as Fractions and P without trailing zeros.
 
     R and P are rational coefficient sequences; Q is (1,) or (1, q) with
     q < 0, so the radius is -1/q.  The weights follow by series division.
@@ -155,63 +161,53 @@ def _rational_family(R, P, Q, name: str) -> WeightFamily:
             total = total * t + _exact(a)
         return total * t / q_at(t) if q else total * t
 
-    return WeightFamily(
-        name=name,
-        weight=weight,
-        phi_derivs=phi_derivs,
-        phim1_eval=phim1_eval,
-        radius=radius,
-        support_hint=frozenset(
-            j for j in range(max(len(R), len(P), len(Q)) + 2) if weight(j)
-        ),
-        cache_key="rational:" + ";".join(",".join(map(str, s)) for s in (R, P, Q)),
-        rational=(R, P, Q),
-    )
+    return ("rational", R, P, Q), weight, phi_derivs, phim1_eval, radius
 
 
-def _cayley_family() -> WeightFamily:
-    def weight(j: int) -> Fraction:
-        return Fraction(1, math.factorial(j))
-
-    def phi_derivs(t, m: int = 0) -> List[mp.mpf]:
-        return [mp.exp(t)] * (m + 1)
-
-    return WeightFamily(
-        name="cayley",
-        weight=weight,
-        phi_derivs=phi_derivs,
-        phim1_eval=mp.expm1,
-        radius=math.inf,
-        support_hint=frozenset({0, 1, 2, 3}),
-        cache_key="cayley",
-    )
+def _family(phi: tuple, name: str) -> WeightFamily:
+    """The family whose Phi the tag ``phi`` names.  For e^t the weights
+    are 1/j!, and the support hint {0, 1, 2} shows its period 1 and r = 2."""
+    if phi[0] == "exp":
+        weight = lambda j: Fraction(1, math.factorial(j))
+        phi_derivs = lambda t, m=0: [mp.exp(t)] * (m + 1)
+        phim1_eval, radius = mp.expm1, math.inf
+    else:
+        phi, weight, phi_derivs, phim1_eval, radius = _rational_parts(*phi[1:], name)
+    top = max(map(len, phi[1:]), default=1) + 2
+    hint = frozenset(j for j in range(top) if weight(j))
+    key = phi[0] + ":" + ";".join(",".join(map(str, s)) for s in phi[1:])
+    return WeightFamily(name, weight, phi_derivs, phim1_eval, radius, hint, key, phi)
 
 
-_BUILTIN_BUILDERS = {
-    "plane": lambda: _rational_family((), (1,), (1, -1), "plane"),
-    "binary": lambda: _rational_family((), (1, 0, 1), (1,), "binary"),
-    "pruned-binary": lambda: _rational_family((), (1, 2, 1), (1,), "pruned-binary"),
-    "cayley": _cayley_family,
+def _rational_family(R, P, Q, name: str) -> WeightFamily:
+    """The family with Phi = R + P/Q."""
+    return _family(("rational", R, P, Q), name)
+
+
+_BUILTIN_TAGS = {
+    "plane": ("rational", (), (1,), (1, -1)),
+    "binary": ("rational", (), (1, 0, 1), (1,)),
+    "pruned-binary": ("rational", (), (1, 2, 1), (1,)),
+    "cayley": ("exp",),
     # 1/(1-t) - t: every outdegree allowed except exactly one child.
-    "riordan": lambda: _rational_family((0, -1), (1,), (1, -1), "riordan"),
+    "riordan": ("rational", (0, -1), (1,), (1, -1)),
 }
 
 # complete-binary is the same family as binary (Phi = 1 + t^2); both names
 # are accepted and share every stored result (see _STORE).
 _ALIASES = {"complete-binary": "binary"}
 
-BUILTIN_NAMES = tuple(sorted(_BUILTIN_BUILDERS) + sorted(_ALIASES))
+BUILTIN_NAMES = tuple(sorted(_BUILTIN_TAGS) + sorted(_ALIASES))
 
 
 def make_builtin(name: str) -> WeightFamily:
     """Return a builtin family by name (see :data:`BUILTIN_NAMES`)."""
     canonical = _ALIASES.get(name, name)
-    if canonical not in _BUILTIN_BUILDERS:
+    if canonical not in _BUILTIN_TAGS:
         raise UnknownFamily(
             f"unknown family {name!r}; builtins are: {', '.join(BUILTIN_NAMES)}"
         )
-    fam = _BUILTIN_BUILDERS[canonical]()
-    return fam if name == canonical else replace(fam, name=name)
+    return _family(_BUILTIN_TAGS[canonical], name)
 
 
 def make_polynomial(
@@ -230,12 +226,13 @@ def make_polynomial(
         if w < 0:
             raise InvalidWeights(f"weights must be nonnegative, got w{j} = {w}")
     if not any(w > 0 for w in ws[2:]):
-        raise InvalidWeights("need w_j > 0 for some j >= 2, otherwise only paths exist")
+        raise InvalidWeights(_PATHS_ONLY)
     display = name if name is not None else "weights(" + ",".join(str(w) for w in ws) + ")"
-    return _rational_family((), ws, (1,), display)
+    return _family(("rational", (), ws, (1,)), display)
 
 
-# Every finished result: a scaled coefficient column under
+# Every finished result: the integer kernel of counting under
+# (cache_key, "kernel"), a scaled coefficient column under
 # (cache_key, "Y") or (cache_key, "Y0", h), a FamilyConstants under
 # (cache_key, "constants", precision_bits), and the outcome of a rho_h
 # solve under (cache_key, "rho_h", h, precision_bits).  Never evicted

@@ -19,6 +19,7 @@ from protek import (
     WrongRegime,
     bounded_count,
     cdf_asymptotic,
+    cdf_exact,
     complex_gamma,
     count_asymptotic,
     eta_sequence,
@@ -27,7 +28,9 @@ from protek import (
     family_structure,
     make_builtin,
     make_polynomial,
+    oracle_check,
     psi_fluctuation,
+    solve_Y,
     solve_rho_h,
     solve_tau_rho,
     two_point_predictor,
@@ -202,6 +205,20 @@ def _subcritical_family() -> WeightFamily:
 def test_no_tau_detected():
     with pytest.raises(NoTau):
         solve_tau_rho(_subcritical_family())
+
+
+def test_counting_refuses_a_family_without_a_tag():
+    # only evaluators and weights, no tag naming Phi: exact counting must
+    # not read such a family as e^t, which gave cayley's numbers
+    f = _subcritical_family()
+    for count in (
+        lambda: solve_Y(f, 6),
+        lambda: bounded_count(f, 2, 6),
+        lambda: cdf_exact(f, 6),
+        lambda: oracle_check(f, 6),
+    ):
+        with pytest.raises(InvalidArgument, match="subcritical: exact counting needs a tag"):
+            count()
 
 
 def test_shared_constants_carry_each_family_name(monkeypatch):

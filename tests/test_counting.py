@@ -290,6 +290,16 @@ def test_pascal_rows_are_right_under_threads(monkeypatch):
     assert counting._pascal(399) == [comb(399, j) for j in range(400)]
 
 
+def test_kernel_is_built_once_per_family(monkeypatch):
+    # every tail step reads the integer lists of Phi' from the store
+    monkeypatch.setattr(families, "_STORE", {})
+    calls = []
+    poly_deriv = counting._poly_deriv
+    monkeypatch.setattr(counting, "_poly_deriv", lambda a: calls.append(a) or poly_deriv(a))
+    cdf_exact(make_polynomial(["1", "1/2", "1/3"]), 40)
+    assert len(calls) <= 3
+
+
 def test_counting_imports_no_float_code():
     # the exact module reaches neither mpmath nor the limit laws
     imported = set()

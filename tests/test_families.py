@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -152,9 +153,9 @@ def test_cache_key_follows_the_coefficients():
     # trailing zero weights and the builtin name do not change the family
     binary = make_builtin("binary")
     assert make_polynomial([1, 0, 1, 0]).cache_key == binary.cache_key
-    assert binary.rational == ((), (1, 0, 1), (1,))
-    assert make_builtin("riordan").rational == ((0, -1), (1,), (1, -1))
-    assert make_builtin("cayley").rational is None
+    assert binary.phi == ("rational", (), (1, 0, 1), (1,))
+    assert make_builtin("riordan").phi == ("rational", (0, -1), (1,), (1, -1))
+    assert make_builtin("cayley").phi == ("exp",)
 
 
 class TestStructure:
@@ -170,6 +171,11 @@ class TestStructure:
 
     def test_riordan(self, riordan):
         assert family_structure(riordan) == (True, 2, 1)
+
+    def test_support_hint_without_a_branching_degree(self):
+        f = replace(make_builtin("plane"), support_hint=frozenset({0, 1}))
+        with pytest.raises(InvalidWeights, match="j >= 2"):
+            family_structure(f)
 
     def test_period_divides_support(self):
         for weights in ([1, 0, 1], [1, 0, 0, 1], [1, 0, 1, 0, 1], [1, 2, 1]):
