@@ -6,10 +6,10 @@ child runs each other share and sends its results back over a pipe as
 marshal bytes, so every result is the same value the parent would have
 computed.
 
-The counting module imports this module on its first CDF or expectation,
-the asymptotics module when the rhoh command prefetches its levels, and
-the oracle module on every enumeration, which it splits into one part
-per CPU, so constants and the residual check do not load it.  It uses
+The counting module imports this module on its first level solve, the
+asymptotics module on its first rho_h solve, and the oracle module on
+every enumeration, which it splits into one part per CPU, so constants
+and the residual check do not load it.  It uses
 ``os.fork`` rather than a process pool: a WeightFamily holds closures and
 cannot be pickled, and importing ``multiprocessing`` and
 ``concurrent.futures.process`` after ``protek.cli`` added about 1.6 MiB of

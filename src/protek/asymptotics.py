@@ -557,8 +557,9 @@ def _rho_h_work(h: int, bits: int) -> int:
 def _prefetch_rho_h(f: WeightFamily, hs: Iterable[int], bits: int) -> None:
     """Store the rho_h solve at precision ``bits`` of every level h in
     ``hs`` that the store lacks, solved on every CPU of the process (see
-    _fork_map).  The family constants are solved here first, so no child
-    solves them again."""
+    _fork_map); :func:`solve_rho_h` reads each level from there.  The
+    family constants are solved here first, so no child solves them
+    again."""
     from ._split import _fork_map
 
     hs = list(hs)
@@ -595,17 +596,16 @@ def solve_rho_h(
     families.  Newton stops once every residual is below
     2^(-precision_bits/2), after at most 120 steps.
 
-    The outcome is kept in the one results store under
-    ("rho_h", h, precision_bits), where _prefetch_rho_h may have put it,
-    failures included: a level is solved once, and a failed level raises
-    the same NoConvergence on every read.  Families with the same weights
-    share the entry; each caller's copy carries its own family name.
+    The outcome is read from the one results store under
+    ("rho_h", h, precision_bits), where _prefetch_rho_h puts it, failures
+    included: a level is solved once, and a failed level raises the same
+    NoConvergence on every read.  Families with the same weights share
+    the entry; each caller's copy carries its own family name.
     """
-    check_int("h", h, 2)
-    check_int("precision_bits", precision_bits, MIN_PRECISION_BITS)
-    failure, iterations, u, res, etas = marshal.loads(_memo(
-        f, ("rho_h", h, precision_bits), lambda: _rho_h_newton(f, h, precision_bits)
-    ))
+    _prefetch_rho_h(f, [h], precision_bits)
+    failure, iterations, u, res, etas = marshal.loads(
+        _stored(f, ("rho_h", h, precision_bits))
+    )
     u = tuple(map(_unpacked, u))
     if failure is not None:
         raise NoConvergence(f"{f.name}, h = {h}: {failure}", u)

@@ -36,15 +36,14 @@ time, without changing a coefficient:
   double-exponential regime far more.
 * Linear tail.  Y_{h,k} falls short of the h-independent series
   P_k = x*(Phi(P_{k-1}) - 1), P_0 = Y, by a difference D of valuation at
-  least h + 2.  Once 2h + 3 > N the terms x*D^2 vanish through order N,
-  so those levels solve a linear system whose pieces they all share:
-  :func:`_tail_y0` reads every one of them from one pass over
-  P_1, P_2, ... with a few products per level, instead of h + 1
-  composers each.  Single reads through :func:`bounded_count`, which the
-  oracle check uses, keep the windowed solve.
+  least h + 2.  Once 2h + 5 >= N the terms x*D^2 leave Y_{h,0} unchanged
+  through order N, so those levels solve a linear system whose pieces
+  they all share: :func:`_tail_y0` reads every one of them from one pass
+  over P_1, P_2, ... with a few products per level, instead of h + 1
+  composers each.
 * Level split.  The levels h of one CDF below the linear tail share
-  nothing but Y, so :func:`cdf_exact` first solves the levels missing
-  from the store with
+  nothing but Y, so :func:`cdf_exact`, like the oracle check, first
+  solves the levels missing from the store with
   :func:`protek._split._fork_map`, which runs them on every CPU of the
   process's affinity mask, and stores every Y_{h,0} column before it
   reads a row.  The map stays in the calling process when os.fork is
@@ -62,9 +61,10 @@ two counts of the same size, so the scale cancels.  They can be
 re-checked against the generic Horner composition of the series module
 through :meth:`ProtectionSeriesSet.residuals`.
 
-The kernel and the scaled columns of Y and of each Y_{h,0} are kept in
-the one results store of the families module; a stored column serves
-every order below its length, and a longer request replaces it.
+The kernel, the Pascal rows of e^t and the scaled columns of Y and of
+each Y_{h,0} are read only from the one results store of the families
+module; a stored column serves every order below its length, and a
+longer request replaces it.
 
 Sizes n >= 1, orders >= 1, levels h >= 0 (h >= 1 for the full system) and
 hmax >= 0 are checked by :func:`errors.check_int`: a bool, a non-int or a
@@ -115,7 +115,8 @@ class _RationalComposer:
     integers and no step divides, so every g_m and every output is an
     integer.  The powers S^2, S^3, ... are kept alongside S; S^p has
     valuation p*v, so the coefficient of x^m in S^(p+1) = S * S^p sums
-    s_i [x^(m-i)] S^p over v <= i <= m - p*v.
+    s_i [x^(m-i)] S^p over v <= i <= m - p*v; S^2 doubles the pairs with
+    i < m - i and adds s_(m/2)^2 for even m, half the products.
     """
 
     __slots__ = ("arg", "r", "p", "negq", "powers", "g", "out", "v")
@@ -139,7 +140,11 @@ class _RationalComposer:
             mm = len(g)
             v = self.v = _valuation(arg, self.v, mm)
             # extend each power to index mm in ascending degree
-            for k in range(1, len(powers)):
+            if len(powers) > 1:  # S^2 from the pairs i < mm - i
+                half = (mm - 1) // 2
+                pairs = sum(map(mul, arg[v : half + 1], arg[mm - v : mm - half - 1 : -1]))
+                powers[1].append(2 * pairs + (0 if mm % 2 else arg[mm // 2] ** 2))
+            for k in range(2, len(powers)):
                 prev = powers[k - 1]  # S^k, valuation k*v
                 hi = mm - k * v  # last i with a nonzero term
                 powers[k].append(
@@ -161,40 +166,21 @@ class _RationalComposer:
         return out[m]
 
 
-# Rows C(m, 0..m) of Pascal's triangle for the e^t kernel: every
-# _ExpComposer step and every binomial product of the linear tail reads
-# them.  A longer table replaces the list as a whole and no row changes
-# once made, so a thread never reads a row out of place.
-_PASCAL = [[1]]
-
-
-def _pascal(m: int) -> list:
-    """Row m of Pascal's triangle, C(m, 0) .. C(m, m) (read-only)."""
-    global _PASCAL
-    rows = _PASCAL
-    if len(rows) <= m:
-        rows = rows.copy()
-        while len(rows) <= m:
-            row = rows[-1]
-            rows.append([1, *map(add, row, row[1:]), 1])
-        _PASCAL = rows
-    return rows[m]
-
-
 class _ExpComposer:
     """Phi(t) = e^t on factorial-scaled coefficients S_j = j!*s_j.
 
     G' = S'G gives G_m = m!*g_m = sum_j C(m-1, j-1)*S_j*G_{m-j}, and
     coeff(m) = (m+1)!*[x^(m+1)] x*G = (m+1)*G_m.  The sum starts at the
-    valuation v of S, and the binomials come from the shared row m - 1 of
-    :func:`_pascal`.  e^t is its own derivative, so the same stream is
-    x*Phi'(S) too.
+    valuation v of S, and the binomials come from row m - 1 of ``rows``,
+    the stored Pascal rows (see :func:`_pascal_rows`).  e^t is its own
+    derivative, so the same stream is x*Phi'(S) too.
     """
 
-    __slots__ = ("arg", "out", "v")
+    __slots__ = ("arg", "rows", "out", "v")
 
-    def __init__(self, arg: list):
+    def __init__(self, arg: list, rows: list):
         self.arg = arg
+        self.rows = rows
         self.out = [1]
         self.v = 1
 
@@ -204,53 +190,71 @@ class _ExpComposer:
             mm = len(out)
             v = self.v = _valuation(arg, self.v, mm)
             # empty while v > mm
-            terms = map(mul, _pascal(mm - 1)[v - 1 :], arg[v : mm + 1])
+            terms = map(mul, self.rows[mm - 1][v - 1 :], arg[v : mm + 1])
             out.append(sum(map(mul, terms, out[mm - v :: -1])))
         return (m + 1) * out[m]
 
 
 def _kernel(f: WeightFamily) -> tuple:
-    """(L, binomial, lists, dlists), read from the tag of ``f`` once and
-    kept in the results store.  s_n = L^n, with L the lcm of the
-    denominators of R and P, or n! for e^t, where L = 1 and ``binomial``
-    says that every product of two scaled series carries binomials.
-    ``lists`` are the ints L*R, L*P and Q, and ``dlists`` those of
-    Phi' = R' + (P'Q - PQ')/Q^2; both are None for e^t, whose composer is
-    its own Phi' stream.  A family whose tag is None has only evaluators,
-    which serve the asymptotics but not counting.
+    """(L, lists, dlists), read from the tag of ``f`` once and kept in the
+    results store.  s_n = L^n, with L the lcm of the denominators of R and
+    P; ``lists`` are the ints L*R, L*P and Q, and ``dlists`` those of
+    Phi' = R' + (P'Q - PQ')/Q^2.  Both are None for e^t, where L = 1,
+    s_n = n! and the composer is its own Phi' stream.  A family whose tag
+    is None has only evaluators, which serve the asymptotics but not
+    counting.
     """
 
     def build() -> tuple:
         if f.phi is None:
             raise InvalidArgument(f"{f.name}: exact counting needs a tag for Phi")
         if f.phi[0] == "exp":
-            return 1, True, None, None
+            return 1, None, None
         R, P, Q = f.phi[1:]
         L = lcm(*(c.denominator for c in R + P))
         r, p, q = [int(L * c) for c in R], [int(L * c) for c in P], list(Q)
         pq, qp = _poly_mul(_poly_deriv(p), q), _poly_mul(p, _poly_deriv(q))
         numerator = [a - b for a, b in zip_longest(pq, qp, fillvalue=0)]
-        return L, False, (r, p, q), (_poly_deriv(r), numerator or [0], _poly_mul(q, q))
+        return L, (r, p, q), (_poly_deriv(r), numerator or [0], _poly_mul(q, q))
 
     return _memo(f, ("kernel",), build)
 
 
 def _scale(f: WeightFamily, n: int) -> int:
     """s_n: the solver holds s_n * [x^n] of every series as an int."""
-    unit, binomial, _, _ = _kernel(f)
-    return factorial(n) if binomial else unit**n
+    unit, lists, _ = _kernel(f)
+    return unit**n if lists else factorial(n)
 
 
-def _make_composer(f: WeightFamily, arg: list, derivative: bool = False):
+def _pascal_rows(f: WeightFamily, top: int) -> Optional[list]:
+    """The stored rows C(m, 0..m) of Pascal's triangle through m = top at
+    least, or None for a family scaled by L^n.  A longer table extends a
+    copy and replaces the stored one whole, so no thread reads a row out
+    of place."""
+    if _kernel(f)[1]:
+        return None
+
+    def extend() -> list:
+        rows = list(_stored(f, ("pascal",)) or [[1]])
+        while len(rows) <= top:
+            row = rows[-1]
+            rows.append([1, *map(add, row, row[1:]), 1])
+        return rows
+
+    return _memo(f, ("pascal",), extend, top)
+
+
+def _make_composer(f: WeightFamily, arg: list, order: int, derivative: bool = False):
     """Streams s_(m+1) * [x^(m+1)] x*Phi(S) from the scaled coefficients of S,
-    or x*Phi'(S) with ``derivative``.
+    or x*Phi'(S) with ``derivative``, for m < order.
 
     With s_n = L^n that is [x^m] of L*Phi at the scaled argument, so the
     rational composer runs on the kernel's integer lists.
     """
-    _, _, lists, dlists = _kernel(f)
-    lists = dlists if derivative else lists
-    return _RationalComposer(*lists, arg) if lists else _ExpComposer(arg)
+    _, lists, dlists = _kernel(f)
+    if lists:
+        return _RationalComposer(*(dlists if derivative else lists), arg)
+    return _ExpComposer(arg, _pascal_rows(f, order - 2))
 
 
 def _poly_deriv(a: list) -> list:
@@ -277,7 +281,7 @@ def _y_coefficients(f: WeightFamily, order: int) -> list:
 
     def solve() -> list:
         ys = [0]
-        comp = _make_composer(f, ys)
+        comp = _make_composer(f, ys, order)
         for n in range(1, order + 1):
             ys.append(comp.coeff(n - 1))
         return ys
@@ -307,7 +311,7 @@ def _solve_system_raw(
     """
     unit = _scale(f, 1)
     ys = [[0] for _ in range(h + 1)]
-    comps = [_make_composer(f, ys[k]) for k in range(h + 1)]
+    comps = [_make_composer(f, ys[k], order) for k in range(h + 1)]
     last = _windows(h, order, y0_only)
     for n in range(1, order + 1):
         m = n - 1
@@ -321,31 +325,26 @@ def _solve_system_raw(
     return ys
 
 
-def _y0_coefficients(f: WeightFamily, h: int, order: int) -> list:
-    return _memo(
-        f, ("Y0", h), lambda: _solve_system_raw(f, h, order, y0_only=True)[0], order
-    )
-
-
-def _product(a: list, b: list, top: int, binomial: bool) -> list:
+def _product(a: list, b: list, top: int, rows: Optional[list]) -> list:
     """Scaled coefficients 0..top of the product of two scaled series.
 
-    With s_n = L^n that is the plain convolution; with s_n = n! the term
-    a_i*b_(n-i) carries C(n, i).  Each sum runs only over the indices at
-    which both factors can be nonzero, and copies only those of b.
+    With s_n = L^n (``rows`` None) that is the plain convolution; with
+    s_n = n! the term a_i*b_(n-i) carries C(n, i), read from ``rows``.
+    Each sum runs only over the indices at which both factors can be
+    nonzero, and copies only those of b.
     """
     va, vb = _valuation(a, 0, len(a) - 1), _valuation(b, 0, len(b) - 1)
     out = [0] * (top + 1)
     for n in range(va + vb, min(top, len(a) + len(b) - 2) + 1):
         lo, hi = max(va, n - len(b) + 1), min(n - vb, len(a) - 1)
         terms = a[lo : hi + 1]
-        if binomial:
-            terms = map(mul, _pascal(n)[lo : hi + 1], terms)
+        if rows:
+            terms = map(mul, rows[n][lo : hi + 1], terms)
         out[n] = sum(map(mul, terms, reversed(b[n - hi : n - lo + 1])))
     return out
 
 
-def _geometric(u: list, top: int, binomial: bool) -> list:
+def _geometric(u: list, top: int, rows: Optional[list]) -> list:
     """Scaled coefficients 0..top of 1/(1 - U) for a scaled U with U(0) = 0.
 
     G = 1 + U*G, and [x^n] U*G reads G only below n, so no step divides.
@@ -354,15 +353,15 @@ def _geometric(u: list, top: int, binomial: bool) -> list:
     for n in range(1, top + 1):
         hi = min(n, len(u) - 1)
         terms = u[vu : hi + 1]
-        if binomial:
-            terms = map(mul, _pascal(n)[vu : hi + 1], terms)
+        if rows:
+            terms = map(mul, rows[n][vu : hi + 1], terms)
         g.append(sum(map(mul, terms, g[n - vu :: -1])))
     return g
 
 
 def _tail_y0(f: WeightFamily, hs: Iterable[int], order: int) -> Dict[int, list]:
     """{h: scaled Y_{h,0} through ``order``} for levels h >= 1 with
-    2h + 3 > order, from one linear solve that all of them share.
+    2h + 5 >= order, from one linear solve that all of them share.
 
     With P_0 = Y, P_k = x*(Phi(P_{k-1}) - 1) and A_k = x*Phi'(P_{k-1}), the
     difference D_k = P_k - Y_{h,k}, of valuation at least h + 2, obeys
@@ -370,8 +369,9 @@ def _tail_y0(f: WeightFamily, hs: Iterable[int], order: int) -> Dict[int, list]:
 
         D_k = A_k*D_(k-1) + P_(h+1) - A_(h+1)*D_h + O(x*D^2)
 
-    for 1 <= k <= h.  The O(x*D^2) terms vanish through ``order`` once
-    2h + 3 > order, and the linear rest solves to
+    for 1 <= k <= h.  Every D_k starts with the lowest term of P_(h+1), at
+    x^(h+2) or later, so the O(x*D^2) terms cancel through x^(2h+5); once
+    2h + 5 >= order the linear rest solves to
 
         Y_{h,0} = Y - c/(1 - A_1),   c = P_{h+1}/(1 + A_{h+1}*K),
         K = M_h/(1 - A_1) + S_h,
@@ -390,7 +390,7 @@ def _tail_y0(f: WeightFamily, hs: Iterable[int], order: int) -> Dict[int, list]:
     hs = sorted(hs)
     if not hs:
         return {}
-    h0, (unit, binomial, _, dlists) = hs[0], _kernel(f)
+    h0, (unit, _, dlists), rows = hs[0], _kernel(f), _pascal_rows(f, order)
     t0 = order - h0 - 2
     y = _y_coefficients(f, order)[: order + 1]
     x_w1 = [0, int(unit * f.weight(1))]  # scaled x*w1; unit is that of x
@@ -399,28 +399,28 @@ def _tail_y0(f: WeightFamily, hs: Iterable[int], order: int) -> Dict[int, list]:
     for k in range(1, hs[-1] + 2):
         top = min(order - h0 - 1 + k, order)  # P_k runs through top
         if k <= t0:
-            comp = _make_composer(f, p)
-            dcomp = _make_composer(f, p, derivative=True) if dlists else comp
+            comp = _make_composer(f, p, order)
+            dcomp = _make_composer(f, p, order, derivative=True) if dlists else comp
             p = [0] + [comp.coeff(n - 1) for n in range(1, top + 1)]
             p[1] -= unit
             a = [0] + [dcomp.coeff(n) for n in range(t0)]
         else:
-            p, a = _product(p, x_w1, top, binomial), x_w1
+            p, a = _product(p, x_w1, top, rows), x_w1
         if k == 1:
-            inv1 = _geometric(a, t0, binomial)  # 1/(1 - A_1)
+            inv1 = _geometric(a, t0, rows)  # 1/(1 - A_1)
             continue
         h = k - 1  # P_{h+1} and A_{h+1} are at hand, with M_h and S_h
         if h in wanted:
-            ks = _product(m, inv1, order - h - 3, binomial)  # K
+            ks = _product(m, inv1, order - h - 3, rows)  # K
             for n, e in enumerate(s[: len(ks)]):
                 ks[n] += e
-            ak = _product(a, ks, order - h - 2, binomial)
-            b_inv = _geometric([-e for e in ak], order - h - 2, binomial)
-            c = _product(p, b_inv, order, binomial)
-            out[h] = list(map(sub, y, _product(c, inv1, order, binomial)))
+            ak = _product(a, ks, order - h - 2, rows)
+            b_inv = _geometric([-e for e in ak], order - h - 2, rows)
+            c = _product(p, b_inv, order, rows)
+            out[h] = list(map(sub, y, _product(c, inv1, order, rows)))
         t = order - max(k, h0) - 3  # M_k and S_k serve levels >= k only
-        m = _product(a, m, t, binomial)
-        s = _product(a, s, t, binomial)
+        m = _product(a, m, t, rows)
+        s = _product(a, s, t, rows)
         if s:
             s[0] += 1
     return out
@@ -428,9 +428,9 @@ def _tail_y0(f: WeightFamily, hs: Iterable[int], order: int) -> Dict[int, list]:
 
 def _prefetch_y0(f: WeightFamily, hs: Iterable[int], order: int) -> None:
     """Store Y_{h,0} through ``order`` for every level h in ``hs`` that the
-    store lacks.
+    store lacks; every reader of a level takes it from there.
 
-    Levels with 2h + 3 > order come from the shared linear solve of
+    Levels with 2h + 5 >= order come from the shared linear solve of
     :func:`_tail_y0`, in the calling process.  Each lower level gets its
     own windowed solve, and those are shared among every CPU of the
     process (see _fork_map), priced by :func:`_y0_work`.
@@ -438,8 +438,8 @@ def _prefetch_y0(f: WeightFamily, hs: Iterable[int], order: int) -> None:
     from ._split import _fork_map
 
     missing = [h for h in hs if _stored(f, ("Y0", h), order) is None]
-    columns = _tail_y0(f, [h for h in missing if 2 * h + 3 > order], order)
-    work = {h: _y0_work(h, order) for h in missing if 2 * h + 3 <= order}
+    columns = _tail_y0(f, [h for h in missing if 2 * h + 5 >= order], order)
+    work = {h: _y0_work(h, order) for h in missing if 2 * h + 5 < order}
     columns.update(
         _fork_map(lambda h: _solve_system_raw(f, h, order, y0_only=True)[0], work)
     )
@@ -524,15 +524,16 @@ def bounded_count(f: WeightFamily, h: int, n: int) -> Fraction:
     """Total weight of n-vertex trees whose maximum protection number is <= h.
 
     h = 0 admits only the single-vertex tree; h >= n-1 admits every tree
-    of size n, so the value coincides with [x^n] Y there.
+    of size n, so the value coincides with [x^n] Y there.  Other levels
+    are read from the store, which :func:`_prefetch_y0` fills on a miss.
     """
     check_int("n", n, 1)
     check_int("h", h, 0)
     if h >= n - 1:
-        count = _y_coefficients(f, n)[n]
-    else:
-        count = _y0_coefficients(f, h, n)[n] if h else 0
-    return Fraction(count, _scale(f, n))
+        return Fraction(_y_coefficients(f, n)[n], _scale(f, n))
+    if h and _stored(f, ("Y0", h), n) is None:
+        _prefetch_y0(f, [h], n)
+    return Fraction(_stored(f, ("Y0", h), n)[n] if h else 0, _scale(f, n))
 
 
 class CdfRow(NamedTuple):

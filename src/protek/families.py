@@ -232,11 +232,11 @@ def make_polynomial(
 
 
 # Every finished result: the integer kernel of counting under
-# (cache_key, "kernel"), a scaled coefficient column under
-# (cache_key, "Y") or (cache_key, "Y0", h), a FamilyConstants under
-# (cache_key, "constants", precision_bits), and the outcome of a rho_h
-# solve under (cache_key, "rho_h", h, precision_bits).  Never evicted
-# (README, "Library").
+# (cache_key, "kernel"), the Pascal rows of e^t under (cache_key, "pascal"),
+# a scaled coefficient column under (cache_key, "Y") or (cache_key, "Y0", h),
+# a FamilyConstants under (cache_key, "constants", precision_bits), and the
+# outcome of a rho_h solve under (cache_key, "rho_h", h, precision_bits).
+# Never evicted (README, "Library").
 _STORE: dict = {}
 
 

@@ -37,8 +37,9 @@ Fraction, its total over L^n.  Nothing here uses the generating-function
 machinery, which makes this module an independent oracle for it.
 
 ``oracle_check`` compares these weights with ``bounded_count``, for
-every size from one search.  It runs the sizes largest first, so each
-level of the series side is solved once.
+every size from one search.  It first stores every level at the largest
+size, as ``cdf_exact`` does, so it checks the same windowed solves and
+linear tail columns that the CDF and the expectation read.
 
 Sizes are ints from 1 to ENUMERATION_CAP: a bool, a non-int or a size
 below 1 raises InvalidArgument, and a size above the cap CapExceeded.
@@ -53,7 +54,7 @@ from itertools import cycle
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .counting import bounded_count
+from .counting import _prefetch_y0, bounded_count
 from .errors import CapExceeded, check_int
 from .families import WeightFamily
 
@@ -289,19 +290,15 @@ def oracle_check(f: WeightFamily, nmax: int) -> OracleReport:
     """Exact comparison of cumulative oracle weights against the solved
     series coefficients for every n <= nmax and every h <= n - 1.
 
-    Sizes run largest first, so each level is solved once, at nmax, and
-    every smaller size reads its coefficient from the stored column."""
+    Every level is solved once, at nmax, by :func:`_prefetch_y0`, and
+    every size reads its coefficient from the stored column."""
     _check_size("nmax", nmax)
     dists = _distributions(f, nmax)
-    blocks = []
-    for n in range(nmax, 0, -1):
-        dist = dists[n]
-        block = []
-        for h in range(0, n):
-            lhs = dist.cumulative(h)
-            rhs = bounded_count(f, h, n)
-            block.append(OracleCheckRow(n, h, lhs, rhs, lhs == rhs))
-        blocks.append(block)
-    rows = tuple(row for block in reversed(blocks) for row in block)
+    _prefetch_y0(f, range(1, nmax - 1), nmax)
+    rows = []
+    for n in range(1, nmax + 1):
+        for h in range(n):
+            lhs, rhs = dists[n].cumulative(h), bounded_count(f, h, n)
+            rows.append(OracleCheckRow(n, h, lhs, rhs, lhs == rhs))
     passed = all(row.ok for row in rows)
-    return OracleReport(family=f.name, nmax=nmax, rows=rows, passed=passed)
+    return OracleReport(family=f.name, nmax=nmax, rows=tuple(rows), passed=passed)

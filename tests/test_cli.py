@@ -422,7 +422,8 @@ class TestOracleCommand:
         forked = split_on(monkeypatch, 2)
         assert run_cli(capsys, "oracle", *args.split()) == serial
         assert_no_child_left()
-        assert forked == [[1]]
+        # part 1 of the search, then level 1 of the windowed levels 1, 2
+        assert forked == [[1], [1]]
 
     def test_probe_never_forks(self, capsys, monkeypatch):
         # the 23 trees of at most five vertices are below the work floor

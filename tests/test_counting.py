@@ -151,7 +151,7 @@ class TestProtectionSystem:
     @settings(max_examples=150, deadline=None)
     @given(f=weight_families(), order=st.integers(2, 34), data=st.data())
     def test_linear_tail_matches_windowed_solve(self, f, order, data):
-        tail = [h for h in range(1, order + 1) if 2 * h + 3 > order]
+        tail = [h for h in range(1, order + 1) if 2 * h + 5 >= order]
         expected = serial_y0(f, tail, order)
         assert counting._tail_y0(f, tail, order) == expected
         # a subset truncates at its own lowest level
@@ -162,8 +162,8 @@ class TestProtectionSystem:
     def test_linear_tail_reaches_no_lower_level(self, name):
         # The linear system drops x*O(D^2), D of valuation h + 2, and the
         # x^(2h+5) terms of the D_1 and Y_{h,h} equations cancel: the
-        # identity holds for order <= 2h + 5, one or two levels below the
-        # threshold 2h + 3 > order of _prefetch_y0, and no further.
+        # identity holds for order <= 2h + 5, the threshold of _prefetch_y0,
+        # and no further.
         f = make_builtin(name)
         for order in range(6, 31):
             for h in range(1, order):
@@ -180,9 +180,11 @@ class TestProtectionSystem:
 
         monkeypatch.setattr(families, "_STORE", {})
         monkeypatch.setattr(_split, "_fork_map", fork_map)
-        bounded_count(plane, 5, 30)  # a stored level is solved by neither route
-        counting._prefetch_y0(plane, range(1, 29), 30)
-        assert sorted(dealt) == [h for h in range(1, 29) if 2 * h + 3 <= 30 and h != 5]
+        bounded_count(plane, 5, 30)  # a single read takes the same route
+        assert dealt == [5]
+        dealt.clear()
+        counting._prefetch_y0(plane, range(1, 29), 30)  # a stored level is solved by neither route
+        assert sorted(dealt) == [h for h in range(1, 29) if 2 * h + 5 < 30 and h != 5]
         assert stored_y0(plane) == serial_y0(plane, range(1, 29), 30)
 
     def test_longer_solve_replaces_cached_column(self, plane, monkeypatch):
@@ -266,14 +268,15 @@ class TestCdf:
 
 
 def test_pascal_rows_are_right_under_threads(monkeypatch):
-    # every e^t composer of every thread reads the one shared table
-    monkeypatch.setattr(counting, "_PASCAL", [[1]])
+    # every e^t composer of every thread reads the one stored table
+    monkeypatch.setattr(families, "_STORE", {})
+    cayley = make_builtin("cayley")
     start = threading.Barrier(8, timeout=60)
     got = []
 
     def read():
         start.wait()
-        got.append([len(counting._pascal(m)) for m in range(400)])
+        got.append([len(counting._pascal_rows(cayley, m)[m]) for m in range(400)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -287,7 +290,8 @@ def test_pascal_rows_are_right_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [list(range(1, 401))] * 8
-    assert counting._pascal(399) == [comb(399, j) for j in range(400)]
+    assert counting._pascal_rows(cayley, 399)[399] == [comb(399, j) for j in range(400)]
+    assert counting._pascal_rows(make_builtin("plane"), 399) is None  # scaled by L^n
 
 
 def test_kernel_is_built_once_per_family(monkeypatch):
@@ -424,7 +428,7 @@ class TestSplitLevels:
     @given(f=weight_families(), order=st.integers(3, 24), cpus=st.sampled_from((2, 3)))
     def test_columns_match_serial(self, f, order, cpus):
         levels = range(1, order - 1)
-        windowed = [h for h in levels if 2 * h + 3 <= order]
+        windowed = [h for h in levels if 2 * h + 5 < order]
         with pytest.MonkeyPatch.context() as monkeypatch:
             forked = split_on(monkeypatch, cpus)
             counting._prefetch_y0(f, levels, order)
@@ -453,7 +457,7 @@ class TestSplitLevels:
     def test_error_of_a_child_level_is_raised_typed(self, plane, monkeypatch):
         solve = counting._solve_system_raw
         forked = split_on(monkeypatch, 2)
-        windowed = [h for h in range(1, 20) if 2 * h + 3 <= 30]
+        windowed = [h for h in range(1, 20) if 2 * h + 5 < 30]
         _, theirs = _split._deal({h: counting._y0_work(h, 30) for h in windowed}, 2)
 
         def level_fails(f, h, order, y0_only=False):

@@ -244,20 +244,26 @@ class TestOracleCheck:
             oracle_check(plane, nmax)
 
     def test_each_level_is_solved_once(self, plane, monkeypatch):
-        # largest size first: levels 1..nmax-2 are solved once, at nmax, and
-        # every smaller size reads the stored column; ascending sizes would
-        # make 45 solves
+        # levels 1..nmax-2 are stored at nmax before any row is read, by the
+        # routes of cdf_exact: windowed solves of levels 1 and 2 and one
+        # linear tail of levels 3..9; every size reads the stored columns
         monkeypatch.setattr(families, "_STORE", {})
-        solve = counting._solve_system_raw
-        solved = []
+        solve, tail = counting._solve_system_raw, counting._tail_y0
+        solved, tails = [], []
 
         def counted(f, h, order, **kwargs):
             solved.append((h, order))
             return solve(f, h, order, **kwargs)
 
+        def counted_tail(f, hs, order):
+            tails.append((sorted(hs), order))
+            return tail(f, hs, order)
+
         monkeypatch.setattr(counting, "_solve_system_raw", counted)
+        monkeypatch.setattr(counting, "_tail_y0", counted_tail)
         assert oracle_check(plane, 11).passed
-        assert sorted(solved) == [(h, 11) for h in range(1, 10)]
+        assert sorted(solved) == [(1, 11), (2, 11)]
+        assert tails == [(list(range(3, 10)), 11)]
 
     def test_mismatch_fails_the_gate(self, plane, monkeypatch):
         exact = oracle_module.bounded_count
@@ -359,7 +365,8 @@ class TestSplitSearch:
         monkeypatch.setattr(oracle_module, "_part_counts", child_fails)
         assert oracle_check(plane, 11) == serial
         assert_no_child_left()
-        assert forked == [[1], [2]]
+        # parts 1 and 2 of the search, then level 1 of the windowed levels 1, 2
+        assert forked == [[1], [2], [1]]
 
     def test_error_of_a_part_is_raised_typed(self, plane, monkeypatch):
         part_counts = oracle_module._part_counts
